@@ -17,6 +17,13 @@ from repro.isa.registers import wrap_value
 WORD_SIZE = 8
 
 
+def word_index(address: int) -> int:
+    """Index of the word holding byte ``address``; rejects negative addresses."""
+    if not isinstance(address, int) or address < 0:
+        raise MemoryError_(f"invalid memory address {address!r}")
+    return address // WORD_SIZE
+
+
 class SparseMemory:
     """A sparse, lazily-allocated data memory.
 
@@ -32,20 +39,14 @@ class SparseMemory:
             for address, value in initial.items():
                 self.store_word(address, value)
 
-    @staticmethod
-    def _word_index(address: int) -> int:
-        if not isinstance(address, int) or address < 0:
-            raise MemoryError_(f"invalid memory address {address!r}")
-        return address // WORD_SIZE
-
     def load_word(self, address: int) -> int:
         """Return the signed 64-bit word containing byte ``address``."""
-        return self._words.get(self._word_index(address), 0)
+        return self._words.get(word_index(address), 0)
 
     def store_word(self, address: int, value: int) -> int:
         """Store ``value`` (wrapped to 64 bits) at byte ``address``'s word."""
         wrapped = wrap_value(value)
-        self._words[self._word_index(address)] = wrapped
+        self._words[word_index(address)] = wrapped
         return wrapped
 
     def load_byte(self, address: int) -> int:
@@ -54,7 +55,7 @@ class SparseMemory:
 
     def store_byte(self, address: int, value: int) -> int:
         """Store ``value & 0xFF`` into the low byte of the addressed word."""
-        index = self._word_index(address)
+        index = word_index(address)
         word = self._words.get(index, 0)
         new_word = wrap_value((word & ~0xFF) | (value & 0xFF))
         self._words[index] = new_word
@@ -69,7 +70,7 @@ class SparseMemory:
         self._words.clear()
 
     def __contains__(self, address: int) -> bool:
-        return self._word_index(address) in self._words
+        return word_index(address) in self._words
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SparseMemory(words={len(self._words)})"

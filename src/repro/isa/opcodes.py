@@ -214,3 +214,15 @@ def is_predicted_opcode(opcode: Opcode) -> bool:
     ``Other`` category.
     """
     return CATEGORY_OF[opcode] in PREDICTED_CATEGORIES
+
+
+#: Canonical opcode order.  An opcode's position here is its integer code
+#: in trace columns and in the default opcode table of the v3 binary trace
+#: format, so appending to :class:`Opcode` is safe but reordering is not.
+OPCODE_ORDER: tuple[Opcode, ...] = tuple(Opcode)
+
+#: Integer code of each opcode (its index in :data:`OPCODE_ORDER`).
+OPCODE_CODE: dict[Opcode, int] = {opcode: code for code, opcode in enumerate(OPCODE_ORDER)}
+
+#: Reporting category of each opcode code.
+CATEGORY_BY_CODE: tuple[Category, ...] = tuple(CATEGORY_OF[opcode] for opcode in OPCODE_ORDER)

@@ -10,10 +10,11 @@ capacities suffice for context-based prediction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.isa.opcodes import Category, REPORTED_CATEGORIES
+from repro.isa.opcodes import CATEGORY_BY_CODE, Category, REPORTED_CATEGORIES
 from repro.simulation.metrics import arithmetic_mean
 from repro.trace.stream import ValueTrace
 
@@ -74,14 +75,16 @@ def _empty_distribution() -> dict[str, float]:
 def value_profile(
     trace: ValueTrace, categories: tuple[Category, ...] = REPORTED_CATEGORIES
 ) -> ValueProfile:
-    """Profile unique-value counts for one benchmark's trace."""
+    """Profile unique-value counts for one benchmark's trace.
+
+    Reads the trace columns directly; no record objects are built.
+    """
     unique_values: dict[int, set[int]] = {}
-    dynamic_count: dict[int, int] = {}
-    pc_category: dict[int, Category] = {}
-    for record in trace.records:
-        unique_values.setdefault(record.pc, set()).add(record.value)
-        dynamic_count[record.pc] = dynamic_count.get(record.pc, 0) + 1
-        pc_category.setdefault(record.pc, record.category)
+    pc_code: dict[int, int] = {}
+    for pc, value, code in zip(trace.pcs, trace.values, trace.opcode_codes):
+        unique_values.setdefault(pc, set()).add(value)
+        pc_code.setdefault(pc, code)
+    dynamic_count = Counter(trace.pcs)
 
     groups = ["All"] + [category.value for category in categories]
     static_counts = {group: _empty_distribution() for group in groups}
@@ -93,7 +96,7 @@ def value_profile(
         label = bucket_for(len(values))
         weight = dynamic_count[pc]
         group_names = ["All"]
-        category = pc_category[pc]
+        category = CATEGORY_BY_CODE[pc_code[pc]]
         if category in categories:
             group_names.append(category.value)
         for group in group_names:

@@ -4,13 +4,13 @@ A value trace is the ordered sequence of ``(pc, opcode, category, value)``
 tuples produced by the register-writing instructions of one program run.
 Predictor simulations (:mod:`repro.simulation`) consume these traces; they
 can come from executing a synthetic workload on the ISA substrate
-(:class:`TraceCollector`) or be constructed directly for tests and
+(:func:`collect_trace`) or be constructed directly for tests and
 micro-experiments (:mod:`repro.trace.synthetic`).
 """
 
 from repro.trace.record import TraceRecord
 from repro.trace.stream import ValueTrace
-from repro.trace.collector import TraceCollector, collect_trace
+from repro.trace.collector import collect_trace
 from repro.trace.io import (
     dump_trace,
     dump_trace_binary,
@@ -32,7 +32,6 @@ from repro.trace.synthetic import (
 __all__ = [
     "TraceRecord",
     "ValueTrace",
-    "TraceCollector",
     "collect_trace",
     "dump_trace",
     "dump_trace_binary",

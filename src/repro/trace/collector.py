@@ -1,47 +1,18 @@
 """Collect value traces from the ISA substrate.
 
-The collector implements the paper's filtering rule: only instructions that
-write results into general purpose registers are predicted; stores, branches
-and jumps are excluded.  (``jal`` writes a link value and is counted under
-the ``Other`` category, matching the paper's treatment of "Floating, Jump,
-Other".)
+The interpreter implements the paper's filtering rule as it retires: only
+instructions that write results into general purpose registers enter the
+trace columns; stores, branches and jumps are excluded.  (``jal`` writes a
+link value and is counted under the ``Other`` category, matching the
+paper's treatment of "Floating, Jump, Other".)
 """
 
 from __future__ import annotations
 
-from repro.isa.instructions import Instruction
-from repro.isa.machine import ExecutionResult, Machine, RetiredInstruction
+from repro.isa.machine import ExecutionResult, Machine
 from repro.isa.memory import SparseMemory
 from repro.isa.program import Program
-from repro.trace.record import TraceRecord
 from repro.trace.stream import ValueTrace
-
-
-class TraceCollector:
-    """Machine observer that accumulates a :class:`ValueTrace`."""
-
-    def __init__(self, name: str) -> None:
-        self.trace = ValueTrace(name)
-        self._dynamic_count = 0
-
-    def __call__(self, event: RetiredInstruction, instruction: Instruction) -> None:
-        self._dynamic_count += 1
-        if event.value is None:
-            return
-        self.trace.append(
-            TraceRecord(
-                serial=event.serial,
-                pc=event.pc,
-                opcode=event.opcode,
-                category=event.category,
-                value=event.value,
-            )
-        )
-
-    def finalize(self) -> ValueTrace:
-        """Record the total dynamic count and return the finished trace."""
-        self.trace.set_total_dynamic_instructions(self._dynamic_count)
-        return self.trace
 
 
 def collect_trace(
@@ -50,10 +21,15 @@ def collect_trace(
     max_instructions: int | None = None,
 ) -> tuple[ValueTrace, ExecutionResult]:
     """Run ``program`` and return its value trace plus the execution summary."""
-    collector = TraceCollector(program.name)
     kwargs = {} if max_instructions is None else {"max_instructions": max_instructions}
     machine = Machine(program, memory=memory, **kwargs)
-    machine.add_observer(collector)
     result = machine.run()
-    trace = collector.finalize()
+    trace = ValueTrace.from_columns(
+        program.name,
+        machine.serials,
+        machine.pcs,
+        machine.opcode_codes,
+        machine.values,
+        total_dynamic_instructions=result.retired_instructions,
+    )
     return trace, result

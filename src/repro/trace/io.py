@@ -2,7 +2,9 @@
 
 Two wire formats share one record model (``serial pc opcode value``;
 categories are recomputed from the opcode on load, so the Table 3 mapping
-remains the single source of truth):
+remains the single source of truth).  Both read and write the
+:class:`ValueTrace` columns directly, in pure Python, without building a
+:class:`~repro.trace.record.TraceRecord` per record:
 
 * **text** — a one-line header followed by one space-separated line per
   record.  This is the *canonical* encoding: trace digests
@@ -21,14 +23,16 @@ so :func:`load_trace_file` reads either transparently.
 from __future__ import annotations
 
 import io
+import operator
+import re
 import zlib
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import BinaryIO, TextIO
 from urllib.parse import quote, unquote
 
 from repro.errors import TraceError
-from repro.isa.opcodes import Opcode, category_of
-from repro.trace.record import TraceRecord
+from repro.isa.opcodes import OPCODE_CODE, OPCODE_ORDER, Opcode, category_of
 from repro.trace.stream import ValueTrace
 
 #: v1 wrote the name verbatim (corrupting it if it contained spaces);
@@ -48,9 +52,9 @@ BINARY_MAGIC = b"\x89RVPT\r\n\x1a"
 #: Header flag bits (varint-encoded after the version field).
 _FLAG_ZLIB_BODY = 0x01
 
-#: Stable opcode order used only as the *default* table layout; the binary
-#: header embeds the table it actually used, so files survive enum edits.
-_OPCODE_ORDER: tuple[Opcode, ...] = tuple(Opcode)
+#: The writer's opcode table is :data:`~repro.isa.opcodes.OPCODE_ORDER`,
+#: the same codes the trace columns use; the binary header embeds the
+#: table it used, so files survive enum edits.
 
 
 # --------------------------------------------------------------------------- #
@@ -99,33 +103,66 @@ def _encode_svarint(value: int) -> bytes:
     return encode_uvarint(_zigzag(value))
 
 
-def _decode_svarint(data: bytes | memoryview, offset: int) -> tuple[int, int]:
-    raw, offset = decode_uvarint(data, offset)
-    return _unzigzag(raw), offset
+class _SignedVarints(dict):
+    """Memo: signed int -> its zigzag LEB128 bytes (trace values repeat a lot)."""
+
+    def __missing__(self, value: int) -> bytes:
+        encoded = self[value] = _encode_svarint(value)
+        return encoded
+
+
+class _VarintValues(dict):
+    """Memo: one LEB128 byte string -> its unsigned value."""
+
+    def __missing__(self, token: bytes) -> int:
+        value = self[token] = decode_uvarint(token, 0)[0]
+        return value
+
+
+class _SignedVarintValues(dict):
+    """Memo: one zigzag LEB128 byte string -> its signed value."""
+
+    def __missing__(self, token: bytes) -> int:
+        value = self[token] = _unzigzag(decode_uvarint(token, 0)[0])
+        return value
+
+
+#: One varint: any continuation bytes, then the byte that ends it.
+_VARINT = re.compile(rb"[\x80-\xff]*[\x00-\x7f]")
+
+#: Opcode mnemonics by code, as the text format writes them.
+_MNEMONICS: tuple[str, ...] = tuple(opcode.value for opcode in OPCODE_ORDER)
+
+#: The body encoding of each opcode code (all fit one varint byte).
+_OPCODE_VARINTS: tuple[bytes, ...] = tuple(encode_uvarint(code) for code in range(len(OPCODE_ORDER)))
 
 
 # --------------------------------------------------------------------------- #
 # Text format (v1/v2)
 # --------------------------------------------------------------------------- #
 def dump_trace(trace: ValueTrace, destination: TextIO) -> None:
-    """Write ``trace`` to an open text stream (canonical v2 text form).
+    """Write ``trace`` to an open text stream (canonical v2 text form)."""
+    destination.write(dumps_trace(trace))
+
+
+def dumps_trace(trace: ValueTrace) -> str:
+    """Return the canonical text serialisation of ``trace`` as a string.
 
     The name is percent-encoded so that whitespace (or ``=``) in a trace
     name cannot corrupt the space-separated ``key=value`` header fields.
     """
-    destination.write(
+    header = (
         f"{_HEADER_PREFIX} v{_FORMAT_VERSION} name={quote(trace.name, safe='')} "
         f"total={trace.total_dynamic_instructions} records={len(trace)}\n"
     )
-    for record in trace:
-        destination.write(f"{record.serial} {record.pc} {record.opcode.value} {record.value}\n")
-
-
-def dumps_trace(trace: ValueTrace) -> str:
-    """Return the canonical text serialisation of ``trace`` as a string."""
-    buffer = io.StringIO()
-    dump_trace(trace, buffer)
-    return buffer.getvalue()
+    lines = map(
+        "{} {} {} {}\n".format,
+        trace.serials,
+        trace.pcs,
+        map(_MNEMONICS.__getitem__, trace.opcode_codes),
+        trace.values,
+    )
+    return header + "".join(lines)
 
 
 def load_trace(source: TextIO) -> ValueTrace:
@@ -149,7 +186,10 @@ def load_trace(source: TextIO) -> ValueTrace:
     except (KeyError, ValueError) as exc:
         raise TraceError(f"malformed trace header: {header!r}") from exc
 
-    records: list[TraceRecord] = []
+    serials: list[int] = []
+    pcs: list[int] = []
+    codes: list[int] = []
+    values: list[int] = []
     for line_number, line in enumerate(source, start=2):
         line = line.strip()
         if not line:
@@ -159,25 +199,18 @@ def load_trace(source: TextIO) -> ValueTrace:
             raise TraceError(f"malformed trace record on line {line_number}: {line!r}")
         try:
             serial, pc, value = int(parts[0]), int(parts[1]), int(parts[3])
-            opcode = Opcode(parts[2])
+            code = OPCODE_CODE[Opcode(parts[2])]
         except ValueError as exc:
             raise TraceError(f"malformed trace record on line {line_number}: {line!r}") from exc
-        records.append(
-            TraceRecord(
-                serial=serial,
-                pc=pc,
-                opcode=opcode,
-                category=category_of(opcode),
-                value=value,
-            )
-        )
-    if len(records) != expected_records:
+        serials.append(serial)
+        pcs.append(pc)
+        codes.append(code)
+        values.append(value)
+    if len(values) != expected_records:
         raise TraceError(
-            f"trace record count mismatch: header says {expected_records}, found {len(records)}"
+            f"trace record count mismatch: header says {expected_records}, found {len(values)}"
         )
-    trace = ValueTrace(name, records)
-    trace.set_total_dynamic_instructions(total)
-    return trace
+    return ValueTrace.from_columns(name, serials, pcs, codes, values, total)
 
 
 def loads_trace(text: str) -> ValueTrace:
@@ -205,20 +238,18 @@ def dumps_trace_binary(trace: ValueTrace, compress: bool = False) -> bytes:
     the body — not the header — through zlib and sets flag bit 0, so the
     record count and name stay inspectable without inflating anything.
     """
-    opcode_index = {opcode: index for index, opcode in enumerate(_OPCODE_ORDER)}
-    body = bytearray()
-    previous_serial = 0
-    previous_pc = 0
-    for record in trace:
-        body += _encode_svarint(record.serial - previous_serial)
-        body += _encode_svarint(record.pc - previous_pc)
-        body += encode_uvarint(opcode_index[record.opcode])
-        body += _encode_svarint(record.value)
-        previous_serial = record.serial
-        previous_pc = record.pc
+    svarint = _SignedVarints()
+    serial_deltas = map(operator.sub, trace.serials, chain((0,), trace.serials))
+    pc_deltas = map(operator.sub, trace.pcs, chain((0,), trace.pcs))
+    records = zip(
+        map(svarint.__getitem__, serial_deltas),
+        map(svarint.__getitem__, pc_deltas),
+        map(_OPCODE_VARINTS.__getitem__, trace.opcode_codes),
+        map(svarint.__getitem__, trace.values),
+    )
+    body_bytes = b"".join(chain.from_iterable(records))
 
     flags = 0
-    body_bytes = bytes(body)
     if compress:
         flags |= _FLAG_ZLIB_BODY
         body_bytes = zlib.compress(body_bytes, level=6)
@@ -231,11 +262,10 @@ def dumps_trace_binary(trace: ValueTrace, compress: bool = False) -> bytes:
     out += name_bytes
     out += encode_uvarint(trace.total_dynamic_instructions)
     out += encode_uvarint(len(trace))
-    out += encode_uvarint(len(_OPCODE_ORDER))
-    for opcode in _OPCODE_ORDER:
-        mnemonic = opcode.value.encode("ascii")
+    out += encode_uvarint(len(OPCODE_ORDER))
+    for mnemonic in _MNEMONICS:
         out += encode_uvarint(len(mnemonic))
-        out += mnemonic
+        out += mnemonic.encode("ascii")
     out += encode_uvarint(len(body_bytes))
     out += body_bytes
     return bytes(out)
@@ -304,100 +334,37 @@ def loads_trace_binary(data: bytes) -> ValueTrace:
     """
     name, total, expected_records, table, body = _parse_binary_container(data)
 
-    # One record is four varints; the decode loop is the hot path of every
-    # warm cache read, so the varint reader is inlined rather than calling
-    # _decode_svarint twelve-million times on a long trace.
-    pairs = [(opcode, category_of(opcode)) for opcode in table]
-    records: list[TraceRecord] = []
-    append = records.append
-    data = body
-    position = 0
-    serial = 0
-    pc = 0
-    try:
-        for _ in range(expected_records):
-            raw = data[position]
-            position += 1
-            if raw & 0x80:
-                raw &= 0x7F
-                shift = 7
-                while True:
-                    byte = data[position]
-                    position += 1
-                    raw |= (byte & 0x7F) << shift
-                    if not byte & 0x80:
-                        break
-                    shift += 7
-            serial += (raw >> 1) if not raw & 1 else -((raw + 1) >> 1)
-
-            raw = data[position]
-            position += 1
-            if raw & 0x80:
-                raw &= 0x7F
-                shift = 7
-                while True:
-                    byte = data[position]
-                    position += 1
-                    raw |= (byte & 0x7F) << shift
-                    if not byte & 0x80:
-                        break
-                    shift += 7
-            pc += (raw >> 1) if not raw & 1 else -((raw + 1) >> 1)
-
-            raw = data[position]
-            position += 1
-            if raw & 0x80:
-                raw &= 0x7F
-                shift = 7
-                while True:
-                    byte = data[position]
-                    position += 1
-                    raw |= (byte & 0x7F) << shift
-                    if not byte & 0x80:
-                        break
-                    shift += 7
-            opcode, category = pairs[raw]
-
-            raw = data[position]
-            position += 1
-            if raw & 0x80:
-                raw &= 0x7F
-                shift = 7
-                while True:
-                    byte = data[position]
-                    position += 1
-                    raw |= (byte & 0x7F) << shift
-                    if not byte & 0x80:
-                        break
-                    shift += 7
-            append(
-                TraceRecord(
-                    serial=serial,
-                    pc=pc,
-                    opcode=opcode,
-                    category=category,
-                    value=(raw >> 1) if not raw & 1 else -((raw + 1) >> 1),
-                )
-            )
-    except IndexError as exc:
-        # data[position] fails only once position has reached the end of
-        # the body; a pairs[raw] failure mid-body is a bad opcode index.
-        if position < len(data):
-            raise TraceError(
-                f"corrupt binary trace: invalid opcode index in record {len(records) + 1}"
-            ) from exc
+    # The body is 4 varints per record and nothing else, so one regex pass
+    # splits it into varint tokens; each distinct token is decoded once.
+    tokens = _VARINT.findall(body)
+    fields = 4 * expected_records
+    if len(tokens) < fields:
         raise TraceError(
-            f"corrupt binary trace: body ends after {len(records)} of "
-            f"{expected_records} records"
-        ) from exc
-    if position != len(data):
-        raise TraceError(
-            f"corrupt binary trace: {len(body) - position} trailing bytes after "
+            f"corrupt binary trace: body ends after {len(tokens) // 4} of "
             f"{expected_records} records"
         )
-    trace = ValueTrace(name, records)
-    trace.set_total_dynamic_instructions(total)
-    return trace
+    if len(tokens) > fields or (body and body[-1] & 0x80):
+        consumed = sum(map(len, tokens[:fields]))
+        raise TraceError(
+            f"corrupt binary trace: {len(body) - consumed} trailing bytes after "
+            f"{expected_records} records"
+        )
+    codes = list(map(_VarintValues().__getitem__, tokens[2::4]))
+    if codes and max(codes) >= len(table):
+        bad = next(index for index, code in enumerate(codes) if code >= len(table))
+        raise TraceError(f"corrupt binary trace: invalid opcode index in record {bad + 1}")
+    if tuple(table) != OPCODE_ORDER:
+        remap = [OPCODE_CODE[opcode] for opcode in table]
+        codes = [remap[code] for code in codes]
+    signed = _SignedVarintValues().__getitem__
+    return ValueTrace.from_columns(
+        name,
+        list(accumulate(map(signed, tokens[0::4]))),
+        list(accumulate(map(signed, tokens[1::4]))),
+        codes,
+        list(map(signed, tokens[3::4])),
+        total,
+    )
 
 
 def load_trace_binary(source: BinaryIO) -> ValueTrace:
@@ -545,31 +512,25 @@ def trace_columns(trace: ValueTrace) -> TraceColumns | None:
     Returns ``None`` when numpy is unavailable or any field falls outside
     int64 (the vectorized kernel then uses the scalar path).
     """
-    cached = getattr(trace, "_columns", False)
-    if cached is not False:
-        return cached
+    if trace._columns is not False:
+        return trace._columns
     try:
         import numpy as np
     except ImportError:
         return None
-    records = trace.records
-    count = len(records)
-    index = {opcode: code for code, opcode in enumerate(_OPCODE_ORDER)}
-    categories, op_to_cat = _category_mapping(_OPCODE_ORDER)
+    categories, op_to_cat = _category_mapping(OPCODE_ORDER)
     try:
-        serials = np.fromiter((r.serial for r in records), dtype=np.int64, count=count)
-        pcs = np.fromiter((r.pc for r in records), dtype=np.int64, count=count)
-        values = np.fromiter((r.value for r in records), dtype=np.int64, count=count)
+        serials = np.array(trace.serials, dtype=np.int64)
+        pcs = np.array(trace.pcs, dtype=np.int64)
+        values = np.array(trace.values, dtype=np.int64)
     except OverflowError:
         trace._columns = None
         return None
-    opcode_codes = np.fromiter(
-        (index[r.opcode] for r in records), dtype=np.int64, count=count
-    )
+    opcode_codes = np.array(trace.opcode_codes, dtype=np.int64)
     category_codes = np.asarray(op_to_cat, dtype=np.int64)[opcode_codes]
     columns = TraceColumns(
         trace.name, trace.total_dynamic_instructions, serials, pcs, values,
-        opcode_codes, _OPCODE_ORDER, category_codes, categories,
+        opcode_codes, OPCODE_ORDER, category_codes, categories,
     )
     trace._columns = columns
     return columns

@@ -1,9 +1,15 @@
 """Container for value traces, with summary statistics.
 
-A :class:`ValueTrace` is an immutable-by-convention list of
-:class:`TraceRecord` objects plus the name of the workload that produced it
-and the number of dynamic instructions retired in total (needed to report the
-"fraction predicted" column of Table 2).
+A :class:`ValueTrace` holds a trace as four parallel int columns — serial,
+pc, opcode code (an index into :data:`~repro.isa.opcodes.OPCODE_ORDER`)
+and value — plus the name of the workload that produced it and the number
+of dynamic instructions retired in total (needed to report the "fraction
+predicted" column of Table 2).  The columns are the single in-memory form:
+the interpreter appends to them directly and the codecs read and write
+them.  :attr:`ValueTrace.records` is a view of them as
+:class:`TraceRecord` objects, built on first use and memoised, for the
+scalar simulation kernel and anything else that wants one object per
+record.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import TraceError
-from repro.isa.opcodes import Category
+from repro.isa.opcodes import CATEGORY_BY_CODE, OPCODE_CODE, OPCODE_ORDER, Category
 from repro.trace.record import TraceRecord
 
 
@@ -54,23 +60,61 @@ class ValueTrace:
         records: Sequence[TraceRecord] | Iterable[TraceRecord] = (),
         total_dynamic_instructions: int | None = None,
     ) -> None:
+        records = list(records)
         self.name = name
-        self._records: list[TraceRecord] = list(records)
+        self.serials: list[int] = [record.serial for record in records]
+        self.pcs: list[int] = [record.pc for record in records]
+        self.opcode_codes: list[int] = [OPCODE_CODE[record.opcode] for record in records]
+        self.values: list[int] = [record.value for record in records]
         self._total_dynamic_instructions = total_dynamic_instructions
+        self._records: list[TraceRecord] | None = records or None
+        #: Memo slot of :func:`repro.trace.io.trace_columns` (numpy columns).
+        self._columns = False
+
+    @classmethod
+    def from_columns(
+        cls,
+        name: str,
+        serials: list[int],
+        pcs: list[int],
+        opcode_codes: list[int],
+        values: list[int],
+        total_dynamic_instructions: int | None = None,
+    ) -> "ValueTrace":
+        """Wrap existing columns (taken over, not copied) as a trace."""
+        if not len(serials) == len(pcs) == len(opcode_codes) == len(values):
+            raise TraceError(
+                "trace columns differ in length: "
+                f"{len(serials)}, {len(pcs)}, {len(opcode_codes)}, {len(values)}"
+            )
+        trace = cls(name)
+        trace.serials = serials
+        trace.pcs = pcs
+        trace.opcode_codes = opcode_codes
+        trace.values = values
+        if total_dynamic_instructions is not None:
+            trace.set_total_dynamic_instructions(total_dynamic_instructions)
+        return trace
 
     # ------------------------------------------------------------------ #
-    # Mutation (used only while a trace is being collected)
+    # Mutation (used only while a trace is being built)
     # ------------------------------------------------------------------ #
     def append(self, record: TraceRecord) -> None:
-        """Append a record to the trace (collection-time only)."""
-        self._records.append(record)
+        """Append a record to the trace (construction-time only)."""
+        self.serials.append(record.serial)
+        self.pcs.append(record.pc)
+        self.opcode_codes.append(OPCODE_CODE[record.opcode])
+        self.values.append(record.value)
+        if self._records is not None:
+            self._records.append(record)
+        self._columns = False
 
     def set_total_dynamic_instructions(self, total: int) -> None:
         """Record the total dynamic instruction count of the producing run."""
-        if total < len(self._records):
+        if total < len(self.values):
             raise TraceError(
                 "total dynamic instructions cannot be smaller than the number of "
-                f"predicted records ({total} < {len(self._records)})"
+                f"predicted records ({total} < {len(self.values)})"
             )
         self._total_dynamic_instructions = total
 
@@ -79,75 +123,95 @@ class ValueTrace:
     # ------------------------------------------------------------------ #
     @property
     def records(self) -> list[TraceRecord]:
-        """The trace records in program order."""
+        """The trace records in program order (built once, on first use)."""
+        if self._records is None:
+            self._records = [
+                TraceRecord(serial, pc, OPCODE_ORDER[code], CATEGORY_BY_CODE[code], value)
+                for serial, pc, code, value in zip(
+                    self.serials, self.pcs, self.opcode_codes, self.values
+                )
+            ]
         return self._records
 
     @property
     def total_dynamic_instructions(self) -> int:
         """Total dynamic instructions (predicted + non-predicted)."""
         if self._total_dynamic_instructions is None:
-            return len(self._records)
+            return len(self.values)
         return self._total_dynamic_instructions
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.values)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return iter(self.records)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return ValueTrace(
+            return ValueTrace.from_columns(
                 self.name,
-                self._records[index],
-                total_dynamic_instructions=None,
+                self.serials[index],
+                self.pcs[index],
+                self.opcode_codes[index],
+                self.values[index],
             )
-        return self._records[index]
+        return self.records[index]
 
     def __bool__(self) -> bool:
-        return bool(self._records)
+        return bool(self.values)
 
     # ------------------------------------------------------------------ #
     # Derived views
     # ------------------------------------------------------------------ #
     def static_pcs(self) -> list[int]:
         """Distinct static PCs appearing in the trace, in first-seen order."""
-        seen: dict[int, None] = {}
-        for record in self._records:
-            if record.pc not in seen:
-                seen[record.pc] = None
-        return list(seen)
+        return list(dict.fromkeys(self.pcs))
 
     def values_by_pc(self) -> dict[int, list[int]]:
         """Map each static PC to the ordered list of values it produced."""
         grouped: dict[int, list[int]] = defaultdict(list)
-        for record in self._records:
-            grouped[record.pc].append(record.value)
+        for pc, value in zip(self.pcs, self.values):
+            grouped[pc].append(value)
         return dict(grouped)
 
     def filter_category(self, category: Category) -> "ValueTrace":
         """Return a sub-trace containing only the given category."""
-        return ValueTrace(
+        keep = [
+            position
+            for position, code in enumerate(self.opcode_codes)
+            if CATEGORY_BY_CODE[code] is category
+        ]
+        return ValueTrace.from_columns(
             f"{self.name}:{category.value}",
-            [record for record in self._records if record.category is category],
+            [self.serials[position] for position in keep],
+            [self.pcs[position] for position in keep],
+            [self.opcode_codes[position] for position in keep],
+            [self.values[position] for position in keep],
         )
 
     def category_counts(self) -> Counter:
         """Dynamic record count per category."""
-        return Counter(record.category for record in self._records)
+        counts: Counter = Counter()
+        for code, count in Counter(self.opcode_codes).items():
+            counts[CATEGORY_BY_CODE[code]] += count
+        return counts
 
     def statistics(self) -> TraceStatistics:
-        """Compute the Table 2 / Tables 4-5 style statistics for this trace."""
-        dynamic_counts: Counter = Counter()
-        static_pcs_by_category: dict[Category, set[int]] = defaultdict(set)
-        for record in self._records:
-            dynamic_counts[record.category] += 1
-            static_pcs_by_category[record.category].add(record.pc)
+        """Compute the Table 2 / Tables 4-5 style statistics for this trace.
+
+        Both category maps list categories in first-seen order.
+        """
+        dynamic_counts = self.category_counts()
+        static_pcs_by_category: dict[Category, set[int]] = {
+            category: set() for category in dynamic_counts
+        }
+        for code, pc in set(zip(self.opcode_codes, self.pcs)):
+            static_pcs_by_category[CATEGORY_BY_CODE[code]].add(pc)
         return TraceStatistics(
             name=self.name,
             total_dynamic_instructions=self.total_dynamic_instructions,
-            predicted_instructions=len(self._records),
-            static_instruction_count=len(self.static_pcs()),
+            predicted_instructions=len(self.values),
+            static_instruction_count=len(set(self.pcs)),
             category_dynamic_counts=dict(dynamic_counts),
             category_static_counts={
                 category: len(pcs) for category, pcs in static_pcs_by_category.items()
@@ -155,4 +219,4 @@ class ValueTrace:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ValueTrace(name={self.name!r}, records={len(self._records)})"
+        return f"ValueTrace(name={self.name!r}, records={len(self.values)})"

@@ -11,8 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import TraceError
-from repro.isa.opcodes import Category, Opcode, category_of, is_predicted_opcode
-from repro.trace.record import TraceRecord
+from repro.isa.opcodes import OPCODE_CODE, Category, Opcode, is_predicted_opcode
 from repro.trace.stream import ValueTrace
 
 #: Default opcode per category used when materialising synthetic records.
@@ -45,12 +44,11 @@ def trace_from_values(
     """Build a trace in which one static instruction produces ``values``."""
     if not is_predicted_opcode(opcode):
         raise TraceError(f"opcode {opcode} is not a predicted instruction")
-    category = category_of(opcode)
-    records = [
-        TraceRecord(serial=i, pc=pc, opcode=opcode, category=category, value=int(v))
-        for i, v in enumerate(values)
-    ]
-    return ValueTrace(name, records)
+    values = [int(v) for v in values]
+    count = len(values)
+    return ValueTrace.from_columns(
+        name, list(range(count)), [pc] * count, [OPCODE_CODE[opcode]] * count, values
+    )
 
 
 def trace_from_streams(
@@ -69,8 +67,9 @@ def trace_from_streams(
     opcodes = dict(opcodes or {})
     iterators = {pc: list(values) for pc, values in streams.items()}
     longest = max(len(values) for values in iterators.values())
-    records: list[TraceRecord] = []
-    serial = 0
+    pcs: list[int] = []
+    codes: list[int] = []
+    trace_values: list[int] = []
     for round_index in range(longest):
         for pc in sorted(iterators):
             values = iterators[pc]
@@ -79,17 +78,10 @@ def trace_from_streams(
             opcode = opcodes.get(pc, Opcode.ADD)
             if not is_predicted_opcode(opcode):
                 raise TraceError(f"opcode {opcode} is not a predicted instruction")
-            records.append(
-                TraceRecord(
-                    serial=serial,
-                    pc=pc,
-                    opcode=opcode,
-                    category=category_of(opcode),
-                    value=int(values[round_index]),
-                )
-            )
-            serial += 1
-    return ValueTrace(name, records)
+            pcs.append(pc)
+            codes.append(OPCODE_CODE[opcode])
+            trace_values.append(int(values[round_index]))
+    return ValueTrace.from_columns(name, list(range(len(pcs))), pcs, codes, trace_values)
 
 
 def interleave_traces(traces: Iterable[ValueTrace], name: str = "interleaved") -> ValueTrace:
@@ -106,10 +98,10 @@ def interleave_traces(traces: Iterable[ValueTrace], name: str = "interleaved") -
     offset = 0
     for trace in traces:
         offsets[id(trace)] = offset
-        max_pc = max((record.pc for record in trace), default=0)
-        offset += max_pc + 4
-    records: list[TraceRecord] = []
-    serial = 0
+        offset += max(trace.pcs, default=0) + 4
+    pcs: list[int] = []
+    codes: list[int] = []
+    values: list[int] = []
     cursors = [0] * len(traces)
     remaining = sum(len(trace) for trace in traces)
     while remaining:
@@ -117,17 +109,9 @@ def interleave_traces(traces: Iterable[ValueTrace], name: str = "interleaved") -
             cursor = cursors[trace_index]
             if cursor >= len(trace):
                 continue
-            record = trace.records[cursor]
-            records.append(
-                TraceRecord(
-                    serial=serial,
-                    pc=record.pc + offsets[id(trace)],
-                    opcode=record.opcode,
-                    category=record.category,
-                    value=record.value,
-                )
-            )
-            serial += 1
+            pcs.append(trace.pcs[cursor] + offsets[id(trace)])
+            codes.append(trace.opcode_codes[cursor])
+            values.append(trace.values[cursor])
             cursors[trace_index] += 1
             remaining -= 1
-    return ValueTrace(name, records)
+    return ValueTrace.from_columns(name, list(range(len(pcs))), pcs, codes, values)

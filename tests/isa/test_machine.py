@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ExecutionError, ExecutionLimitExceeded
-from repro.isa.machine import Machine, run_program
+from repro.errors import (
+    ExecutionError,
+    ExecutionLimitExceeded,
+    InvalidInstructionError,
+    MemoryError_,
+)
+from repro.isa.instructions import Instruction
+from repro.isa.machine import Machine
 from repro.isa.memory import SparseMemory
-from repro.isa.program import ProgramBuilder
+from repro.isa.opcodes import OPCODE_ORDER, Opcode
+from repro.isa.program import Program, ProgramBuilder
 
 
 def execute(build, memory=None, max_instructions=100_000):
@@ -212,20 +219,135 @@ class TestExecutionControl:
         assert result.register_writes == 3
         assert result.fraction_predicted() == pytest.approx(0.75)
 
-    def test_observer_sees_every_retired_instruction(self):
-        events = []
-
+    def test_every_register_write_retires_into_the_columns(self):
         def build(b):
             b.li(1, 1)
             b.addi(1, 1, 1)
             b.sw(1, 0, 0)
 
-        builder = ProgramBuilder("observed")
-        build(builder)
-        program = builder.build()
-        run_program(program, observers=[lambda event, instr: events.append(event)])
-        assert len(events) == 3
-        assert events[0].value == 1
-        assert events[1].value == 2
-        assert events[2].value is None  # stores produce no register value
-        assert [event.serial for event in events] == [0, 1, 2]
+        machine, result = execute(build)
+        assert result.retired_instructions == 3
+        assert result.register_writes == 2
+        # The store retires (serial 2) but produces no register value.
+        assert machine.serials == [0, 1]
+        assert machine.pcs == [0, 4]
+        assert [OPCODE_ORDER[code] for code in machine.opcode_codes] == [Opcode.LI, Opcode.ADDI]
+        assert machine.values == [1, 2]
+
+    def test_write_to_r0_retires_as_zero(self):
+        def build(b):
+            b.li(0, 99)
+            b.li(1, 5)
+            b.add(0, 1, 1)
+            b.add(2, 0, 1)
+
+        machine, _ = execute(build)
+        assert machine.values == [0, 5, 0, 5]
+        assert machine.registers[0] == 0
+
+    def test_category_counts_cover_every_retired_instruction(self):
+        def build(b):
+            b.li(1, 2)
+            b.label("loop")
+            b.subi(1, 1, 1)
+            b.bne(1, 0, "loop")
+            b.sw(1, 0, 8)
+
+        _, result = execute(build)
+        assert result.retired_instructions == 6
+        assert {category.value: count for category, count in result.category_counts.items()} == {
+            "AddSub": 2,
+            "Other": 1,
+            "Store": 1,
+            "Control": 2,
+        }
+
+    def test_budget_may_end_exactly_at_halt(self):
+        def build(b):
+            b.li(1, 1)
+            b.li(2, 2)
+
+        _, result = execute(build, max_instructions=2)
+        assert result.halted
+        assert result.retired_instructions == 2
+
+    def test_negative_address_faults(self):
+        def build(b):
+            b.li(1, -64)
+            b.lw(2, 1, 0)
+
+        with pytest.raises(MemoryError_, match="invalid memory address -64"):
+            execute(build)
+
+    def test_falling_off_the_end_is_an_error(self):
+        program = Program("open", (Instruction(Opcode.LI, rd=1, imm=1),), {})
+        with pytest.raises(ExecutionError, match="outside the program"):
+            Machine(program).run()
+
+    def test_jump_register_outside_the_program_is_an_error(self):
+        def build(b):
+            b.li(1, -8)
+            b.jr(1)
+
+        with pytest.raises(ExecutionError, match=r"outside the program \(index -2\)"):
+            execute(build)
+
+
+class TestDivision:
+    @pytest.mark.parametrize(
+        "dividend, divisor, quotient, remainder",
+        [
+            (7, -3, -2, 1),
+            (-7, 3, -2, -1),
+            (-7, -3, 2, -1),
+            (2**62 + 1, 1, 2**62 + 1, 0),
+            (2**62 + 1, 3, (2**62 + 1) // 3, (2**62 + 1) % 3),
+            (-(2**62) - 1, 3, -((2**62 + 1) // 3), -((2**62 + 1) % 3)),
+            (2**63 - 1, 2**62 + 3, 1, 2**63 - 1 - (2**62 + 3)),
+            (5, 0, 0, 0),
+        ],
+    )
+    def test_truncating_division_is_exact_beyond_2_53(
+        self, dividend, divisor, quotient, remainder
+    ):
+        def build(b):
+            b.li(1, dividend)
+            b.li(2, divisor)
+            b.div(3, 1, 2)
+            b.rem(4, 1, 2)
+
+        machine, _ = execute(build)
+        assert machine.registers[3] == quotient
+        assert machine.registers[4] == remainder
+
+
+class TestDecodeTimeValidation:
+    @pytest.mark.parametrize(
+        "instruction, operand",
+        [
+            (Instruction(Opcode.ADD, rd=1, rs=2), "rt"),
+            (Instruction(Opcode.ADDI, rs=2, imm=1), "rd"),
+            (Instruction(Opcode.LW, rd=1, imm=8), "rs"),
+            (Instruction(Opcode.SW, rs=1, imm=8), "rt"),
+            (Instruction(Opcode.JAL, target="end"), "rd"),
+        ],
+    )
+    def test_missing_operand_rejected_when_machine_is_built(self, instruction, operand):
+        # The malformed instruction sits behind a jump, so it is never
+        # reached: only decoding can catch it.
+        program = Program(
+            "malformed",
+            (
+                Instruction(Opcode.J, target="end"),
+                instruction,
+                Instruction(Opcode.HALT),
+            ),
+            {"end": 2},
+        )
+        with pytest.raises(InvalidInstructionError, match=f"instruction 1 .*{operand}"):
+            Machine(program)
+
+    def test_non_integer_register_rejected(self):
+        program = Program("odd", (Instruction(Opcode.MOV, rd=1, rs=2.0),), {})
+        with pytest.raises(InvalidInstructionError, match="rs=2.0"):
+            Machine(program)
