@@ -127,26 +127,17 @@ _BRANCH_CONDITIONS: dict[Opcode, Callable[[int, int], bool]] = {
     Opcode.BGT: operator.gt,
 }
 
-_RD_RS_RT = ("rd", "rs", "rt")
-_RD_RS = ("rd", "rs")
-_RS_RT = ("rs", "rt")
-
-#: The register operands each opcode reads or writes.
+#: The register operands each opcode reads or writes, by mnemonic.
 _OPERANDS: dict[Opcode, tuple[str, ...]] = {
-    **{opcode: _RD_RS_RT for opcode in (
-        Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.NOR,
-        Opcode.SLLV, Opcode.SRLV, Opcode.SLT, Opcode.SLTU, Opcode.SEQ, Opcode.SNE,
-        Opcode.MULT, Opcode.DIV, Opcode.REM,
-    )},
-    **{opcode: _RD_RS for opcode in (
-        Opcode.ADDI, Opcode.SUBI, Opcode.ANDI, Opcode.ORI, Opcode.XORI, Opcode.SLL,
-        Opcode.SRL, Opcode.SRA, Opcode.SLTI, Opcode.MOV, Opcode.LW, Opcode.LB,
-    )},
-    **{opcode: _RS_RT for opcode in (Opcode.SW, Opcode.SB, *_BRANCH_CONDITIONS)},
-    Opcode.LUI: ("rd",),
-    Opcode.LI: ("rd",),
-    Opcode.JAL: ("rd",),
-    Opcode.JR: ("rs",),
+    Opcode(mnemonic): operands
+    for operands, mnemonics in (
+        (("rd", "rs", "rt"), "add sub and or xor nor sllv srlv slt sltu seq sne mult div rem"),
+        (("rd", "rs"), "addi subi andi ori xori sll srl sra slti mov lw lb"),
+        (("rs", "rt"), "sw sb beq bne blt bge ble bgt"),
+        (("rd",), "lui li jal"),
+        (("rs",), "jr"),
+    )
+    for mnemonic in mnemonics.split()
 }
 
 
@@ -170,9 +161,7 @@ def _check_operands(program: Program, index: int, instruction: Instruction) -> N
 
 
 def _outside(program: Program, index: int) -> ExecutionError:
-    return ExecutionError(
-        f"{program.name!r}: control transferred outside the program (index {index})"
-    )
+    return ExecutionError(f"{program.name!r}: control transferred outside the program (index {index})")
 
 
 class Machine:
@@ -304,9 +293,7 @@ class Machine:
             elif opcode is Opcode.SB:
                 handler = store_byte(rs, rt, imm, nxt)
             elif opcode in _BRANCH_CONDITIONS:
-                handler = branch(
-                    _BRANCH_CONDITIONS[opcode], rs, rt, labels[instruction.target], nxt
-                )
+                handler = branch(_BRANCH_CONDITIONS[opcode], rs, rt, labels[instruction.target], nxt)
             elif opcode is Opcode.J:
                 handler = jump(labels[instruction.target])
             elif opcode is Opcode.JR:
@@ -361,7 +348,5 @@ class Machine:
             retired_instructions=retired,
             register_writes=len(self.values) - writes,
             halted=True,
-            category_counts={
-                category: by_category[category] for category in Category if category in by_category
-            },
+            category_counts={category: by_category[category] for category in Category if category in by_category},
         )

@@ -52,10 +52,6 @@ BINARY_MAGIC = b"\x89RVPT\r\n\x1a"
 #: Header flag bits (varint-encoded after the version field).
 _FLAG_ZLIB_BODY = 0x01
 
-#: The writer's opcode table is :data:`~repro.isa.opcodes.OPCODE_ORDER`,
-#: the same codes the trace columns use; the binary header embeds the
-#: table it used, so files survive enum edits.
-
 
 # --------------------------------------------------------------------------- #
 # Varint primitives (shared with the engine's cache-entry envelope)
@@ -103,28 +99,28 @@ def _encode_svarint(value: int) -> bytes:
     return encode_uvarint(_zigzag(value))
 
 
-class _SignedVarints(dict):
-    """Memo: signed int -> its zigzag LEB128 bytes (trace values repeat a lot)."""
+class _Memo(dict):
+    """``memo[key]`` is ``function(key)``, computed once per distinct key.
 
-    def __missing__(self, value: int) -> bytes:
-        encoded = self[value] = _encode_svarint(value)
-        return encoded
+    Trace values, deltas and varint tokens repeat heavily, so the codecs
+    look each one up here instead of re-encoding or re-decoding it.
+    """
 
+    def __init__(self, function) -> None:
+        super().__init__()
+        self.function = function
 
-class _VarintValues(dict):
-    """Memo: one LEB128 byte string -> its unsigned value."""
-
-    def __missing__(self, token: bytes) -> int:
-        value = self[token] = decode_uvarint(token, 0)[0]
+    def __missing__(self, key):
+        value = self[key] = self.function(key)
         return value
 
 
-class _SignedVarintValues(dict):
-    """Memo: one zigzag LEB128 byte string -> its signed value."""
+def _token_value(token: bytes) -> int:
+    return decode_uvarint(token, 0)[0]
 
-    def __missing__(self, token: bytes) -> int:
-        value = self[token] = _unzigzag(decode_uvarint(token, 0)[0])
-        return value
+
+def _token_signed_value(token: bytes) -> int:
+    return _unzigzag(decode_uvarint(token, 0)[0])
 
 
 #: One varint: any continuation bytes, then the byte that ends it.
@@ -234,11 +230,14 @@ def dumps_trace_binary(trace: ValueTrace, compress: bool = False) -> bytes:
 
     The body holds, per record, ``serial_delta pc_delta opcode_index
     value`` (deltas against the previous record, zigzag-encoded; the
-    opcode index points into the header table).  ``compress=True`` runs
+    opcode index points into the header table).  The writer's table is
+    :data:`~repro.isa.opcodes.OPCODE_ORDER`, so the indices are the trace
+    columns' opcode codes; readers remap through the embedded table, so
+    files survive enum edits.  ``compress=True`` runs
     the body — not the header — through zlib and sets flag bit 0, so the
     record count and name stay inspectable without inflating anything.
     """
-    svarint = _SignedVarints()
+    svarint = _Memo(_encode_svarint)
     serial_deltas = map(operator.sub, trace.serials, chain((0,), trace.serials))
     pc_deltas = map(operator.sub, trace.pcs, chain((0,), trace.pcs))
     records = zip(
@@ -349,14 +348,14 @@ def loads_trace_binary(data: bytes) -> ValueTrace:
             f"corrupt binary trace: {len(body) - consumed} trailing bytes after "
             f"{expected_records} records"
         )
-    codes = list(map(_VarintValues().__getitem__, tokens[2::4]))
+    codes = list(map(_Memo(_token_value).__getitem__, tokens[2::4]))
     if codes and max(codes) >= len(table):
         bad = next(index for index, code in enumerate(codes) if code >= len(table))
         raise TraceError(f"corrupt binary trace: invalid opcode index in record {bad + 1}")
     if tuple(table) != OPCODE_ORDER:
         remap = [OPCODE_CODE[opcode] for opcode in table]
         codes = [remap[code] for code in codes]
-    signed = _SignedVarintValues().__getitem__
+    signed = _Memo(_token_signed_value).__getitem__
     return ValueTrace.from_columns(
         name,
         list(accumulate(map(signed, tokens[0::4]))),

@@ -127,9 +127,7 @@ class ValueTrace:
         if self._records is None:
             self._records = [
                 TraceRecord(serial, pc, OPCODE_ORDER[code], CATEGORY_BY_CODE[code], value)
-                for serial, pc, code, value in zip(
-                    self.serials, self.pcs, self.opcode_codes, self.values
-                )
+                for serial, pc, code, value in zip(self.serials, self.pcs, self.opcode_codes, self.values)
             ]
         return self._records
 
@@ -176,11 +174,7 @@ class ValueTrace:
 
     def filter_category(self, category: Category) -> "ValueTrace":
         """Return a sub-trace containing only the given category."""
-        keep = [
-            position
-            for position, code in enumerate(self.opcode_codes)
-            if CATEGORY_BY_CODE[code] is category
-        ]
+        keep = [position for position, code in enumerate(self.opcode_codes) if CATEGORY_BY_CODE[code] is category]
         return ValueTrace.from_columns(
             f"{self.name}:{category.value}",
             [self.serials[position] for position in keep],
@@ -202,9 +196,7 @@ class ValueTrace:
         Both category maps list categories in first-seen order.
         """
         dynamic_counts = self.category_counts()
-        static_pcs_by_category: dict[Category, set[int]] = {
-            category: set() for category in dynamic_counts
-        }
+        static_pcs_by_category: dict[Category, set[int]] = {category: set() for category in dynamic_counts}
         for code, pc in set(zip(self.opcode_codes, self.pcs)):
             static_pcs_by_category[CATEGORY_BY_CODE[code]].add(pc)
         return TraceStatistics(
@@ -213,9 +205,7 @@ class ValueTrace:
             predicted_instructions=len(self.values),
             static_instruction_count=len(set(self.pcs)),
             category_dynamic_counts=dict(dynamic_counts),
-            category_static_counts={
-                category: len(pcs) for category, pcs in static_pcs_by_category.items()
-            },
+            category_static_counts={category: len(pcs) for category, pcs in static_pcs_by_category.items()},
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

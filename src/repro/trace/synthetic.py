@@ -46,9 +46,7 @@ def trace_from_values(
         raise TraceError(f"opcode {opcode} is not a predicted instruction")
     values = [int(v) for v in values]
     count = len(values)
-    return ValueTrace.from_columns(
-        name, list(range(count)), [pc] * count, [OPCODE_CODE[opcode]] * count, values
-    )
+    return ValueTrace.from_columns(name, list(range(count)), [pc] * count, [OPCODE_CODE[opcode]] * count, values)
 
 
 def trace_from_streams(

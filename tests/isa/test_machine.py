@@ -307,9 +307,7 @@ class TestDivision:
             (5, 0, 0, 0),
         ],
     )
-    def test_truncating_division_is_exact_beyond_2_53(
-        self, dividend, divisor, quotient, remainder
-    ):
+    def test_truncating_division_is_exact_beyond_2_53(self, dividend, divisor, quotient, remainder):
         def build(b):
             b.li(1, dividend)
             b.li(2, divisor)
