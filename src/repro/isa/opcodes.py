@@ -217,8 +217,8 @@ def is_predicted_opcode(opcode: Opcode) -> bool:
 
 
 #: Canonical opcode order.  An opcode's position here is its integer code
-#: in trace columns and in the default opcode table of the v3 binary trace
-#: format, so appending to :class:`Opcode` is safe but reordering is not.
+#: in trace columns and its index in the opcode table that v3 binary
+#: traces embed.
 OPCODE_ORDER: tuple[Opcode, ...] = tuple(Opcode)
 
 #: Integer code of each opcode (its index in :data:`OPCODE_ORDER`).
