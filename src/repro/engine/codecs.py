@@ -20,17 +20,17 @@ JSON-escaped text.  Decoding deliberately does **not** render the trace
 back to text (the expensive part of a warm read); it returns the raw v3
 bytes under ``trace_binary``, and the :func:`payload_trace` /
 :func:`payload_trace_text` / :func:`payload_trace_digest` accessors give
-callers a uniform view over both shapes.  ``payload_trace_text`` always
-reproduces the canonical text bit-identically, so digests agree across
-formats (see ``docs/cache-layout.md``).
+callers a uniform view over both shapes.  Trace digests are defined over
+the trace's canonical v3 bytes, never over the stored form, so text and
+binary entries of one trace agree on it (see ``docs/cache-layout.md``).
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from hashlib import sha256
 
+from repro.engine.fingerprint import trace_digest
 from repro.errors import TraceError
 from repro.isa.opcodes import Category
 from repro.simulation.simulator import (
@@ -347,13 +347,13 @@ def payload_trace_text(payload: dict) -> str:
 
 
 def payload_trace_digest(payload: dict) -> str:
-    """Digest of the payload's trace over its canonical text form.
+    """:func:`~repro.engine.fingerprint.trace_digest` of the payload's trace.
 
-    Prefers the ``digest`` field stamped by the trace task (so binary
-    cache hits never render text at all) and falls back to hashing the
-    canonical form for entries written before digests were stored.
+    Prefers the ``digest`` field stamped by the trace task (so cache hits
+    never re-encode the trace) and falls back to decoding the trace and
+    digesting its canonical v3 bytes for payloads without one.
     """
     digest = payload.get("digest")
     if digest is not None:
         return digest
-    return sha256(payload_trace_text(payload).encode("utf-8")).hexdigest()
+    return trace_digest(payload_trace(payload))

@@ -14,7 +14,7 @@ import json
 from typing import Mapping
 
 from repro.core.registry import create_predictor
-from repro.trace.io import dumps_trace
+from repro.trace.io import dumps_trace_binary
 from repro.trace.stream import ValueTrace
 
 
@@ -34,8 +34,17 @@ def predictors_fingerprint(names: tuple[str, ...] | list[str]) -> tuple[tuple[st
 
 
 def trace_digest(trace: ValueTrace) -> str:
-    """Content digest of a trace's canonical serialised form."""
-    return hashlib.sha256(dumps_trace(trace).encode("utf-8")).hexdigest()
+    """Content digest of a trace: the SHA-256 of its uncompressed v3 bytes."""
+    return binary_trace_digest(dumps_trace_binary(trace))
+
+
+def binary_trace_digest(data: bytes) -> str:
+    """:func:`trace_digest` of a trace, given its ``dumps_trace_binary`` bytes.
+
+    ``data`` must be the uncompressed encoding; the trace task hashes the
+    bytes it has just encoded instead of encoding the trace a second time.
+    """
+    return hashlib.sha256(data).hexdigest()
 
 
 def key_digest(key: Mapping) -> str:

@@ -283,9 +283,11 @@ class ExecutionEngine:
             benchmarks=len(benchmarks),
             predictors=len(predictors),
         ) as run_span:
-            traces, digests, statistics = self._trace_phase(scale, benchmarks)
+            traces, trace_bytes, digests, statistics = self._trace_phase(
+                scale, benchmarks
+            )
             simulations = self._simulate_phase(
-                predictors, benchmarks, traces, digests, stats
+                predictors, benchmarks, traces, trace_bytes, digests, stats
             )
             stats.total_seconds = time.perf_counter() - started
             self._finish_run_stats(stats, cache_base, run_span)
@@ -364,29 +366,34 @@ class ExecutionEngine:
     # ------------------------------------------------------------------ #
     def _trace_phase(
         self, scale: float, benchmarks: tuple[str, ...]
-    ) -> tuple[dict, dict[str, str], dict]:
+    ) -> tuple[dict, dict[str, bytes | None], dict[str, str], dict]:
         tasks = {
             name: TraceTask.for_workload(name, scale=scale) for name in benchmarks
         }
         traces: dict = {}
+        # The v3 bytes each trace arrived as, fresh or cached; the simulate
+        # phase ships them as they are.  None for a text payload.
+        trace_bytes: dict[str, bytes | None] = {}
         digests: dict[str, str] = {}
         statistics: dict = {}
 
         def materialise(name: str, payload: dict) -> None:
             traces[name] = payload_trace(payload)
+            trace_bytes[name] = payload.get("trace_binary")
             digests[name] = payload_trace_digest(payload)
             statistics[name] = statistics_from_dict(payload["statistics"])
 
         def accept_cached(name: str, payload: dict) -> bool:
             # Eager materialisation policy: binary cache hits materialise
             # straight from the v3 bytes and use the stored digest, so the
-            # canonical text is never rebuilt on the warm path.  A payload
-            # whose embedded trace is corrupt is treated as a miss: the
+            # trace is never re-encoded on the warm path.  A payload whose
+            # embedded trace is corrupt is treated as a miss: the
             # benchmark is re-traced instead of crashing the run.
             try:
                 materialise(name, payload)
             except Exception:
                 traces.pop(name, None)
+                trace_bytes.pop(name, None)
                 digests.pop(name, None)
                 return False
             return True
@@ -411,13 +418,14 @@ class ExecutionEngine:
                 accept_fresh=materialise,
             ),
         )
-        return traces, digests, statistics
+        return traces, trace_bytes, digests, statistics
 
     def _simulate_phase(
         self,
         predictors: tuple[str, ...],
         benchmarks: tuple[str, ...],
         traces: dict,
+        trace_bytes: dict[str, bytes | None],
         digests: dict[str, str],
         stats: EngineStats,
     ) -> dict:
@@ -458,23 +466,12 @@ class ExecutionEngine:
                 )
                 if windows is not None:
                     shard_plans[benchmark] = windows
-        # Encode each trace for the pool wire at most once, however many
-        # predictors are pending over it.
-        wire_bytes: dict[str, bytes] = {}
 
         def build_payload(task: SimulateTask, inline: bool) -> dict:
-            if inline:
-                return task.payload(traces[task.benchmark], inline=True, kernel=self.kernel)
-            if task.benchmark not in wire_bytes:
-                from repro.trace.io import dumps_trace_binary
-
-                wire_bytes[task.benchmark] = dumps_trace_binary(
-                    traces[task.benchmark], compress=True
-                )
             return task.payload(
-                None,
-                inline=False,
-                trace_bytes=wire_bytes[task.benchmark],
+                traces[task.benchmark],
+                inline=inline,
+                trace_bytes=trace_bytes[task.benchmark],
                 kernel=self.kernel,
             )
 

@@ -60,7 +60,6 @@ from repro.engine.telemetry import TELEMETRY_KEY
 from repro.engine.worker import execute_simulate_task, execute_trace_task
 from repro.errors import SweepError
 from repro.simulation.simulator import PredictorResult
-from repro.trace.io import dumps_trace_binary
 from repro.trace.stream import TraceStatistics, ValueTrace
 from repro.workloads.suite import get_workload
 
@@ -295,6 +294,15 @@ class _LazyTrace:
                 self._trace = payload_trace(self._payload)
         return self._trace
 
+    def trace_bytes(self) -> bytes | None:
+        """The payload's v3 bytes (``None`` for a text payload).
+
+        Decodes the trace first, so corrupt bytes are repaired here rather
+        than shipped to a worker.
+        """
+        self.get()
+        return self._payload.get("trace_binary")
+
 
 def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
     """Expand ``spec`` into trace/simulate tasks and run them on ``engine``.
@@ -441,19 +449,14 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
                     windows=tuple(windows),
                     get_trace=traces[config].get,
                 )
-    # Encode each trace for the pool wire at most once, however many
-    # predictors are pending over it (an order study has one trace under
-    # its whole predictor axis).
-    wire_bytes: dict[TraceConfig, bytes] = {}
 
     def build_simulate_payload(unit: tuple[str, str], inline: bool) -> dict:
         task, config = units[unit]
-        if inline:
-            return task.payload(traces[config].get(), inline=True, kernel=engine.kernel)
-        if config not in wire_bytes:
-            wire_bytes[config] = dumps_trace_binary(traces[config].get(), compress=True)
         return task.payload(
-            None, inline=False, trace_bytes=wire_bytes[config], kernel=engine.kernel
+            traces[config].get(),
+            inline=inline,
+            trace_bytes=traces[config].trace_bytes(),
+            kernel=engine.kernel,
         )
 
     def accept_shard(unit: tuple[str, str], payload: dict) -> bool:
@@ -513,9 +516,9 @@ def _trace_payload_usable(payload: dict) -> bool:
 
     Confirms the digest and statistics are reachable without decoding the
     embedded trace (the whole point of the warm path).  Entries predating
-    stamped digests fall back to a full text render, which also surfaces
-    trace corruption; for stamped entries a corrupt trace body is caught
-    later by :class:`_LazyTrace`'s re-trace fallback.
+    stamped digests fall back to decoding and re-encoding the trace, which
+    also surfaces trace corruption; for stamped entries a corrupt trace
+    body is caught later by :class:`_LazyTrace`'s re-trace fallback.
     """
     try:
         payload_trace_digest(payload)

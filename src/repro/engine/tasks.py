@@ -32,7 +32,10 @@ from repro.trace.stream import ValueTrace
 #: worker functions (:mod:`repro.engine.sharding`) plus the
 #: ``simulate-window`` cache kind; remote workers must know both names, so
 #: the handshake pin rides on this bump.
-TASK_FORMAT_VERSION = 4
+#: Version 5: the trace digest in simulate and merge keys is the SHA-256 of
+#: the trace's uncompressed v3 bytes instead of its canonical text, so
+#: every key written under version 4 must read as a miss.
+TASK_FORMAT_VERSION = 5
 
 
 def _canonical_scale(scale: float) -> str:
@@ -126,9 +129,10 @@ class SimulateTask:
         as v3 binary bytes — the same compact framing the cache stores —
         so the payload stays picklable and roughly an order of magnitude
         smaller on the pool wire than the canonical text form.  Schedulers
-        dispatching several tasks over one trace pass the pre-encoded
-        ``trace_bytes`` so the encode+compress pass runs once per trace,
-        not once per task.  The expected predictor signature rides along so
+        pass the ``trace_bytes`` the trace phase already holds, fresh off
+        the worker or from the cache, so no trace is encoded twice; only a
+        trace without them (a text cache entry) is encoded here, once per
+        task.  The expected predictor signature rides along so
         a worker whose registry disagrees (e.g. a ``spawn``-start process
         that re-imported a registry without a dynamic re-binding) fails
         loudly instead of simulating the wrong configuration.

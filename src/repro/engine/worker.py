@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import os
 import time
-from hashlib import sha256
 
 from repro.core.registry import create_predictor
 from repro.engine.codecs import shard_to_dict, statistics_to_dict
+from repro.engine.fingerprint import binary_trace_digest
 from repro.engine.telemetry import TELEMETRY_KEY
 from repro.errors import SimulationError
-from repro.trace.io import dumps_trace, dumps_trace_binary, loads_trace, loads_trace_binary
+from repro.trace.io import (
+    compress_trace_binary,
+    dumps_trace_binary,
+    loads_trace,
+    loads_trace_binary,
+)
 from repro.simulation.simulator import simulate_shard
 from repro.simulation.vectorized import resolve_kernel
 from repro.workloads.suite import get_workload
@@ -62,14 +67,12 @@ def execute_trace_task(payload: dict) -> dict:
 
     ``input``/``flags`` select the workload configuration (absent means the
     workload's default, as resolved by :meth:`TraceTask.for_workload`).
-    The trace travels as compressed v3 binary bytes (``trace_binary``) —
-    roughly an order of magnitude smaller on the pool wire than the
-    canonical text, and exactly what the binary cache envelope embeds, so
-    the parent never renders or re-parses text for a cold trace.  The
-    canonical text form still exists transiently in the worker because the
-    ``digest`` that keys the simulate phase is defined over it (see
-    ``docs/trace-format.md``); consumers accept ``trace_text`` payloads as
-    a decode fallback for entries and wire formats produced by older code
+    The trace is varint-encoded once: the ``digest`` that keys the
+    simulate phase is the SHA-256 of those uncompressed v3 bytes (see
+    :func:`repro.engine.fingerprint.trace_digest`), and the trace travels
+    — and is cached — as the compressed form of the same bytes
+    (``trace_binary``).  Consumers still accept ``trace_text`` payloads as
+    a decode fallback for entries produced by older code
     (:func:`repro.engine.codecs.payload_trace`).
     """
     started = time.perf_counter()
@@ -79,10 +82,10 @@ def execute_trace_task(payload: dict) -> dict:
         input_name=payload.get("input"),
         flags=payload.get("flags"),
     )
-    text = dumps_trace(trace)
+    binary = dumps_trace_binary(trace)
     return {
-        "trace_binary": dumps_trace_binary(trace, compress=True),
-        "digest": sha256(text.encode("utf-8")).hexdigest(),
+        "trace_binary": compress_trace_binary(binary),
+        "digest": binary_trace_digest(binary),
         "statistics": statistics_to_dict(trace.statistics()),
         TELEMETRY_KEY: _telemetry_sidecar("trace", started),
     }

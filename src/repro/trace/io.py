@@ -1,20 +1,26 @@
 """(De)serialisation of value traces: text (v1/v2) and binary (v3).
 
-Two wire formats share one record model (``serial pc opcode value``;
+Two formats share one record model (``serial pc opcode value``;
 categories are recomputed from the opcode on load, so the Table 3 mapping
 remains the single source of truth).  Both read and write the
-:class:`ValueTrace` columns directly, in pure Python, without building a
+:class:`ValueTrace` columns directly, without building a
 :class:`~repro.trace.record.TraceRecord` per record:
 
-* **text** — a one-line header followed by one space-separated line per
-  record.  This is the *canonical* encoding: trace digests
-  (:func:`repro.engine.fingerprint.trace_digest`) and the worker wire
-  format are defined over it, so it can never change shape silently.
 * **binary (v3)** — a magic + version header followed by a
   length-prefixed, varint-packed record block (optionally
-  zlib-compressed).  Roughly 4-8x smaller than the text form and faster
-  to parse; used for cache storage.  ``docs/trace-format.md`` is the
-  normative spec of all three versions.
+  zlib-compressed).  This is the *canonical* encoding: the trace digest
+  (:func:`repro.engine.fingerprint.trace_digest`) is the SHA-256 of the
+  uncompressed bytes, and the compressed form is what the worker wire
+  and the cache carry, so it can never change shape silently.  With
+  numpy installed the record block is encoded and decoded with array
+  operations (decoding block by block); the pure-Python code is the
+  reference and the fallback for numpy-less installs and for fields
+  outside int64, and both paths produce the same bytes, columns and
+  errors.
+* **text (v2)** — a one-line header followed by one space-separated line
+  per record: a readable export format, roughly 4-8x larger than v3.
+
+``docs/trace-format.md`` is the normative spec of all three versions.
 
 Binary files and text files are distinguished by the leading magic bytes,
 so :func:`load_trace_file` reads either transparently.
@@ -26,6 +32,7 @@ import io
 import operator
 import re
 import zlib
+from functools import cache
 from itertools import accumulate, chain
 from pathlib import Path
 from typing import BinaryIO, TextIO
@@ -137,7 +144,7 @@ _OPCODE_VARINTS: tuple[bytes, ...] = tuple(encode_uvarint(code) for code in rang
 # Text format (v1/v2)
 # --------------------------------------------------------------------------- #
 def dump_trace(trace: ValueTrace, destination: TextIO) -> None:
-    """Write ``trace`` to an open text stream (canonical v2 text form)."""
+    """Write ``trace`` to an open text stream (v2 text form)."""
     destination.write(dumps_trace(trace))
 
 
@@ -217,6 +224,20 @@ def loads_trace(text: str) -> ValueTrace:
 # --------------------------------------------------------------------------- #
 # Binary format (v3)
 # --------------------------------------------------------------------------- #
+@cache
+def _numpy():
+    """The numpy module, or ``None`` when it is not installed.
+
+    The codecs take their vectorised paths only when this returns a module;
+    the scalar code is the reference and the fallback.
+    """
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
+
+
 def dumps_trace_binary(trace: ValueTrace, compress: bool = False) -> bytes:
     """Serialise ``trace`` into the v3 binary framing.
 
@@ -236,7 +257,57 @@ def dumps_trace_binary(trace: ValueTrace, compress: bool = False) -> bytes:
     files survive enum edits.  ``compress=True`` runs
     the body — not the header — through zlib and sets flag bit 0, so the
     record count and name stay inspectable without inflating anything.
+
+    The body is encoded with numpy when it is installed and every field
+    fits its 64-bit domain, otherwise by the scalar reference encoder;
+    both write the same bytes.
     """
+    np = _numpy()
+    body = None if np is None else _encode_body_numpy(np, trace)
+    if body is None:
+        body = _encode_body_scalar(trace)
+    return _frame_binary(
+        trace.name, trace.total_dynamic_instructions, len(trace), _MNEMONICS, body, compress
+    )
+
+
+def _frame_binary(name, total, records, mnemonics, body, compress) -> bytes:
+    """Wrap an uncompressed record ``body`` in the v3 header."""
+    flags = 0
+    if compress:
+        flags |= _FLAG_ZLIB_BODY
+        body = zlib.compress(body, level=6)
+    name_bytes = quote(name, safe="").encode("ascii")
+    out = bytearray(BINARY_MAGIC)
+    out += encode_uvarint(BINARY_FORMAT_VERSION)
+    out += encode_uvarint(flags)
+    out += encode_uvarint(len(name_bytes))
+    out += name_bytes
+    out += encode_uvarint(total)
+    out += encode_uvarint(records)
+    out += encode_uvarint(len(mnemonics))
+    for mnemonic in mnemonics:
+        out += encode_uvarint(len(mnemonic))
+        out += mnemonic.encode("ascii")
+    out += encode_uvarint(len(body))
+    out += body
+    return bytes(out)
+
+
+def compress_trace_binary(data: bytes) -> bytes:
+    """The ``compress=True`` form of v3 bytes, without re-encoding records.
+
+    ``compress_trace_binary(dumps_trace_binary(trace))`` equals
+    ``dumps_trace_binary(trace, compress=True)``, so a caller that needs
+    both forms varint-encodes the trace once.
+    """
+    name, total, records, table, body = _parse_binary_container(data)
+    mnemonics = [opcode.value for opcode in table]
+    return _frame_binary(name, total, records, mnemonics, body, compress=True)
+
+
+def _encode_body_scalar(trace: ValueTrace) -> bytes:
+    """Reference body encoder: arbitrary-precision ints, one varint at a time."""
     svarint = _Memo(_encode_svarint)
     serial_deltas = map(operator.sub, trace.serials, chain((0,), trace.serials))
     pc_deltas = map(operator.sub, trace.pcs, chain((0,), trace.pcs))
@@ -246,28 +317,63 @@ def dumps_trace_binary(trace: ValueTrace, compress: bool = False) -> bytes:
         map(_OPCODE_VARINTS.__getitem__, trace.opcode_codes),
         map(svarint.__getitem__, trace.values),
     )
-    body_bytes = b"".join(chain.from_iterable(records))
+    return b"".join(chain.from_iterable(records))
 
-    flags = 0
-    if compress:
-        flags |= _FLAG_ZLIB_BODY
-        body_bytes = zlib.compress(body_bytes, level=6)
 
-    name_bytes = quote(trace.name, safe="").encode("ascii")
-    out = bytearray(BINARY_MAGIC)
-    out += encode_uvarint(BINARY_FORMAT_VERSION)
-    out += encode_uvarint(flags)
-    out += encode_uvarint(len(name_bytes))
-    out += name_bytes
-    out += encode_uvarint(trace.total_dynamic_instructions)
-    out += encode_uvarint(len(trace))
-    out += encode_uvarint(len(OPCODE_ORDER))
-    for mnemonic in _MNEMONICS:
-        out += encode_uvarint(len(mnemonic))
-        out += mnemonic.encode("ascii")
-    out += encode_uvarint(len(body_bytes))
-    out += body_bytes
-    return bytes(out)
+#: Serials and pcs at or beyond this magnitude take the scalar encoder: the
+#: numpy path computes their deltas in int64, which holds any difference of
+#: two values below it.
+_DELTA_SAFE_BOUND = 2**62
+
+#: Smallest value needing k + 1 varint bytes, for k = 1..9.
+_VARINT_THRESHOLDS = tuple(1 << (7 * k) for k in range(1, 10))
+
+
+def _encode_body_numpy(np, trace: ValueTrace) -> bytes | None:
+    """Vectorised body encoder, or ``None`` when a field leaves its domain.
+
+    Values may span all of int64; serials and pcs must stay below
+    :data:`_DELTA_SAFE_BOUND` in magnitude.  Outside that the scalar
+    encoder runs instead.
+    """
+    try:
+        serials = np.array(trace.serials, dtype=np.int64)
+        pcs = np.array(trace.pcs, dtype=np.int64)
+        values = np.array(trace.values, dtype=np.int64)
+    except OverflowError:
+        return None
+    for column in (serials, pcs):
+        if column.size and max(int(column.max()), -int(column.min())) >= _DELTA_SAFE_BOUND:
+            return None
+    fields = np.empty((len(values), 4), dtype=np.uint64)
+    fields[:, 0] = _zigzag_array(np, np.diff(serials, prepend=0))
+    fields[:, 1] = _zigzag_array(np, np.diff(pcs, prepend=0))
+    fields[:, 2] = trace.opcode_codes
+    fields[:, 3] = _zigzag_array(np, values)
+    return _uvarint_array_bytes(np, fields.reshape(-1))
+
+
+def _zigzag_array(np, signed):
+    """Vectorised :func:`_zigzag` of an ``int64`` array, as ``uint64``."""
+    return ((signed << 1) ^ (signed >> 63)).view(np.uint64)
+
+
+def _uvarint_array_bytes(np, raw) -> bytes:
+    """LEB128-encode a ``uint64`` array, varint after varint."""
+    lengths = np.searchsorted(
+        np.array(_VARINT_THRESHOLDS, dtype=np.uint64), raw, side="right"
+    ) + 1
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    out = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
+    for k in range(int(lengths.max()) if lengths.size else 0):
+        if k:
+            keep = lengths > k
+            raw, lengths, starts = raw[keep], lengths[keep], starts[keep]
+        group = ((raw >> np.uint64(7 * k)) & np.uint64(0x7F)).astype(np.uint8)
+        group[lengths > k + 1] |= 0x80
+        out[starts + k] = group
+    return out.tobytes()
 
 
 def dump_trace_binary(trace: ValueTrace, destination: BinaryIO, compress: bool = False) -> None:
@@ -278,9 +384,9 @@ def dump_trace_binary(trace: ValueTrace, destination: BinaryIO, compress: bool =
 def _parse_binary_container(data: bytes) -> tuple[str, int, int, list[Opcode], bytes]:
     """Parse the v3 header and return ``(name, total, records, table, body)``.
 
-    The body comes back decompressed; record decoding — scalar
-    (:func:`loads_trace_binary`) or columnar
-    (:func:`decode_trace_columns`) — is the caller's half of the work.
+    The body comes back decompressed; record decoding — scalar or numpy
+    (:func:`loads_trace_binary`) or columnar (:func:`decode_trace_columns`)
+    — is the caller's half of the work.
     """
     view = memoryview(data)
     if bytes(view[: len(BINARY_MAGIC)]) != BINARY_MAGIC:
@@ -329,41 +435,188 @@ def loads_trace_binary(data: bytes) -> ValueTrace:
 
     Raises :class:`TraceError` on a bad magic, an unsupported version, a
     truncated body or a record-count mismatch — the cache treats any of
-    those as a miss rather than a failure.
+    those as a miss rather than a failure.  The body is decoded with numpy
+    when it is installed and every field fits int64, otherwise by the
+    scalar reference decoder; both build the same columns and raise the
+    same errors.
     """
     name, total, expected_records, table, body = _parse_binary_container(data)
+    np = _numpy()
+    columns = None if np is None else _decode_body_numpy(np, body, expected_records, table)
+    if columns is None:
+        columns = _decode_body_scalar(body, expected_records, table)
+    return ValueTrace.from_columns(name, *columns, total)
 
+
+def _trailing_bytes_error(trailing: int, expected_records: int) -> TraceError:
+    return TraceError(
+        f"corrupt binary trace: {trailing} trailing bytes after {expected_records} records"
+    )
+
+
+def _body_ends_early_error(varints: int, expected_records: int) -> TraceError:
+    return TraceError(
+        f"corrupt binary trace: body ends after {varints // 4} of "
+        f"{expected_records} records"
+    )
+
+
+def _invalid_opcode_error(record_index: int) -> TraceError:
+    return TraceError(
+        f"corrupt binary trace: invalid opcode index in record {record_index + 1}"
+    )
+
+
+def _decode_body_scalar(body: bytes, expected_records: int, table: list[Opcode]):
+    """Reference body decoder; returns ``(serials, pcs, codes, values)`` lists."""
     # The body is 4 varints per record and nothing else, so one regex pass
     # splits it into varint tokens; each distinct token is decoded once.
     tokens = _VARINT.findall(body)
     fields = 4 * expected_records
     if len(tokens) < fields:
-        raise TraceError(
-            f"corrupt binary trace: body ends after {len(tokens) // 4} of "
-            f"{expected_records} records"
-        )
+        raise _body_ends_early_error(len(tokens), expected_records)
     if len(tokens) > fields or (body and body[-1] & 0x80):
         consumed = sum(map(len, tokens[:fields]))
-        raise TraceError(
-            f"corrupt binary trace: {len(body) - consumed} trailing bytes after "
-            f"{expected_records} records"
-        )
+        raise _trailing_bytes_error(len(body) - consumed, expected_records)
     codes = list(map(_Memo(_token_value).__getitem__, tokens[2::4]))
     if codes and max(codes) >= len(table):
-        bad = next(index for index, code in enumerate(codes) if code >= len(table))
-        raise TraceError(f"corrupt binary trace: invalid opcode index in record {bad + 1}")
+        raise _invalid_opcode_error(
+            next(index for index, code in enumerate(codes) if code >= len(table))
+        )
     if tuple(table) != OPCODE_ORDER:
         remap = [OPCODE_CODE[opcode] for opcode in table]
         codes = [remap[code] for code in codes]
     signed = _Memo(_token_signed_value).__getitem__
-    return ValueTrace.from_columns(
-        name,
+    return (
         list(accumulate(map(signed, tokens[0::4]))),
         list(accumulate(map(signed, tokens[1::4]))),
         codes,
         list(map(signed, tokens[3::4])),
-        total,
     )
+
+
+def _decode_body_numpy(np, body: bytes, expected_records: int, table: list[Opcode]):
+    """Vectorised :func:`_decode_body_scalar`, or ``None`` outside int64.
+
+    Decodes :data:`_DECODE_BLOCK_RECORDS` records at a time and appends
+    each block to the Python-int columns, so the numpy temporaries stay a
+    few hundred kilobytes whatever the trace length.  Like the scalar
+    decoder's memo, it keeps one int object per distinct value: values
+    repeat heavily, and a trace held in memory is mostly its int objects.
+    """
+    remap = None
+    if tuple(table) != OPCODE_ORDER:
+        remap = np.array([OPCODE_CODE[opcode] for opcode in table], dtype=np.int64)
+    serials: list[int] = []
+    pcs: list[int] = []
+    codes: list[int] = []
+    values: list[int] = []
+    shared_values: dict[int, int] = {}
+    try:
+        for block in _record_blocks(np, body, expected_records, len(table)):
+            block_serials, block_pcs, block_codes, block_values = block
+            serials += block_serials.tolist()
+            pcs += block_pcs.tolist()
+            codes += (block_codes if remap is None else remap[block_codes]).tolist()
+            block_values = block_values.tolist()
+            values += map(shared_values.setdefault, block_values, block_values)
+    except _OutsideInt64:
+        return None
+    return serials, pcs, codes, values
+
+
+#: Records per block of the numpy decoders.
+_DECODE_BLOCK_RECORDS = 4096
+
+
+class _OutsideInt64(Exception):
+    """A body field the numpy decoders cannot hold; the caller falls back."""
+
+
+def _record_blocks(np, body: bytes, expected_records: int, table_size: int):
+    """Decode a v3 body into ``int64`` column blocks, in record order.
+
+    Yields ``(serials, pcs, opcode_codes, values)`` per block of at most
+    :data:`_DECODE_BLOCK_RECORDS` records; the opcode codes index the
+    file's own table.  Raises :class:`TraceError` with the scalar
+    decoder's messages on a corrupt body, and :class:`_OutsideInt64` when
+    a varint exceeds 64 bits or a running serial or pc nears the int64
+    limit (:data:`_RUNNING_SUM_BOUND`).
+    """
+    buf = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(buf < 0x80)
+    fields = 4 * expected_records
+    if ends.size < fields:
+        raise _body_ends_early_error(ends.size, expected_records)
+    if ends.size > fields or (buf.size and buf[-1] >= 0x80):
+        consumed = int(ends[fields - 1]) + 1 if fields else 0
+        raise _trailing_bytes_error(len(body) - consumed, expected_records)
+    serial_base = pc_base = 0
+    for first in range(0, expected_records, _DECODE_BLOCK_RECORDS):
+        last = min(first + _DECODE_BLOCK_RECORDS, expected_records)
+        start = int(ends[4 * first - 1]) + 1 if first else 0
+        raw = _uvarint_values(np, buf, start, ends[4 * first : 4 * last]).reshape(-1, 4)
+        codes = raw[:, 2]
+        if int(codes.max()) >= table_size:
+            raise _invalid_opcode_error(first + int(np.argmax(codes >= np.uint64(table_size))))
+        serials = _prefix_sum_int64(np, _unzigzag_array(np, raw[:, 0]), serial_base)
+        pcs = _prefix_sum_int64(np, _unzigzag_array(np, raw[:, 1]), pc_base)
+        serial_base, pc_base = int(serials[-1]), int(pcs[-1])
+        yield serials, pcs, codes.astype(np.int64), _unzigzag_array(np, raw[:, 3])
+
+
+def _uvarint_values(np, buf, start: int, ends):
+    """Decode consecutive LEB128 varints into a ``uint64`` array.
+
+    The first varint starts at ``buf[start]``; ``ends`` holds the index
+    of each one's last byte.  Works byte position by byte position, over
+    the varints still that long, so short varints cost one pass.
+    """
+    starts = np.empty_like(ends)
+    starts[0] = start
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts + 1
+    if int(lengths.max()) > 10:
+        raise _OutsideInt64
+    values = (buf[starts] & np.uint8(0x7F)).astype(np.uint64)
+    longer = np.flatnonzero(lengths > 1)
+    for k in range(1, 10):
+        if not longer.size:
+            break
+        groups = buf[starts[longer] + k] & np.uint8(0x7F)
+        if k == 9 and int(groups.max()) > 1:
+            # More than the 64 bits a zigzag-mapped int64 needs.
+            raise _OutsideInt64
+        values[longer] |= groups.astype(np.uint64) << np.uint64(7 * k)
+        longer = longer[lengths[longer] > k + 1]
+    return values
+
+
+def _unzigzag_array(np, raw):
+    """Vectorised :func:`_unzigzag` over a ``uint64`` array, as ``int64``."""
+    mask = (raw & np.uint64(1)) * np.uint64(0xFFFFFFFFFFFFFFFF)
+    return ((raw >> np.uint64(1)) ^ mask).view(np.int64)
+
+
+#: The numpy decoders refuse running serial or pc sums whose float64
+#: shadow reaches this.  A block's shadow is off by at most about 2**34,
+#: so every sum below :data:`_DELTA_SAFE_BOUND` (all the numpy encoder
+#: writes) passes, and every sum that passes fits int64.
+_RUNNING_SUM_BOUND = 3 * 2**61
+
+
+def _prefix_sum_int64(np, deltas, base: int):
+    """``base`` plus the running sum of ``int64`` deltas.
+
+    The scalar decoder accumulates in arbitrary-precision Python ints; the
+    numpy path must refuse (and fall back) rather than silently wrap, so a
+    float64 shadow sum gates on :data:`_RUNNING_SUM_BOUND`.  Intermediate
+    int64 sums may wrap: the final ones are exact whenever they fit.
+    """
+    shadow = np.cumsum(deltas.astype(np.float64)) + float(base)
+    if np.abs(shadow).max() >= float(_RUNNING_SUM_BOUND):
+        raise _OutsideInt64
+    return np.cumsum(deltas) + np.int64(base)
 
 
 def load_trace_binary(source: BinaryIO) -> ValueTrace:
@@ -414,90 +667,28 @@ def _category_mapping(table: list[Opcode] | tuple[Opcode, ...]):
     return tuple(categories), op_to_cat
 
 
-def _unzigzag_array(np, raw):
-    """Vectorised :func:`_unzigzag` over a ``uint64`` array, as ``int64``."""
-    mask = (raw & np.uint64(1)) * np.uint64(0xFFFFFFFFFFFFFFFF)
-    return ((raw >> np.uint64(1)) ^ mask).view(np.int64)
-
-
-def _prefix_sum_int64(np, deltas):
-    """Cumulative sum of ``int64`` deltas, or ``None`` if it could overflow.
-
-    The scalar decoder accumulates in arbitrary-precision Python ints; the
-    columnar path must refuse (and fall back) rather than silently wrap.
-    A float64 shadow sum bounds the true magnitude closely enough to gate
-    on half the int64 range.
-    """
-    shadow = np.cumsum(deltas.astype(np.float64))
-    if shadow.size and np.abs(shadow).max() >= float(2**62):
-        return None
-    return np.cumsum(deltas)
-
-
 def decode_trace_columns(data: bytes) -> TraceColumns | None:
     """Decode v3 binary bytes straight into columns, skipping records.
 
     Returns ``None`` when the fast path does not apply — numpy missing, or
     a field outside the 64-bit domain the vectorized kernel computes in
     (the scalar decoder handles those with arbitrary-precision ints).
-    Raises :class:`TraceError` on corrupt data, like
+    Raises :class:`TraceError` on corrupt data, with the same messages as
     :func:`loads_trace_binary`.
     """
-    try:
-        import numpy as np
-    except ImportError:
+    np = _numpy()
+    if np is None:
         return None
     name, total, expected_records, table, body = _parse_binary_container(data)
     categories, op_to_cat = _category_mapping(table)
-    if expected_records == 0:
-        if body:
-            raise TraceError(
-                f"corrupt binary trace: {len(body)} trailing bytes after 0 records"
-            )
-        empty = np.zeros(0, dtype=np.int64)
-        columns = TraceColumns(
-            name, total, empty, empty, empty.copy(), empty.copy(),
-            tuple(table), empty.copy(), categories,
-        )
-        return columns
-
-    buf = np.frombuffer(body, dtype=np.uint8)
-    if buf.size == 0:
-        raise TraceError(
-            f"corrupt binary trace: body ends after 0 of {expected_records} records"
-        )
-    is_term = (buf & 0x80) == 0
-    if not is_term[-1]:
-        raise TraceError("truncated varint")
-    n_varints = int(is_term.sum())
-    if n_varints != 4 * expected_records:
-        raise TraceError(
-            f"corrupt binary trace: body holds {n_varints} varints, "
-            f"{4 * expected_records} expected"
-        )
-    starts_mask = np.empty(buf.size, dtype=bool)
-    starts_mask[0] = True
-    starts_mask[1:] = is_term[:-1]
-    varint_id = np.cumsum(starts_mask) - 1
-    starts = np.flatnonzero(starts_mask)
-    pos = np.arange(buf.size) - starts[varint_id]
-    if int(pos.max()) > 9 or bool(np.any(buf[pos == 9] > 0x01)):
-        # A varint longer than a 64-bit zigzag value needs: fall back to
-        # the arbitrary-precision scalar decoder.
+    try:
+        blocks = list(_record_blocks(np, body, expected_records, len(table)))
+    except _OutsideInt64:
         return None
-    terms = (buf & np.uint8(0x7F)).astype(np.uint64) << (7 * pos).astype(np.uint64)
-    raw = np.add.reduceat(terms, starts).reshape(expected_records, 4)
-
-    opcode_codes = raw[:, 2]
-    if int(opcode_codes.max()) >= len(table):
-        bad = int(np.argmax(opcode_codes >= np.uint64(len(table))))
-        raise TraceError(f"corrupt binary trace: invalid opcode index in record {bad + 1}")
-    opcode_codes = opcode_codes.astype(np.int64)
-    serials = _prefix_sum_int64(np, _unzigzag_array(np, raw[:, 0].copy()))
-    pcs = _prefix_sum_int64(np, _unzigzag_array(np, raw[:, 1].copy()))
-    if serials is None or pcs is None:
-        return None
-    values = _unzigzag_array(np, raw[:, 3].copy())
+    if blocks:
+        serials, pcs, opcode_codes, values = map(np.concatenate, zip(*blocks))
+    else:
+        serials, pcs, opcode_codes, values = (np.zeros(0, dtype=np.int64) for _ in range(4))
     category_codes = np.asarray(op_to_cat, dtype=np.int64)[opcode_codes]
     return TraceColumns(
         name, total, serials, pcs, values, opcode_codes, tuple(table),
@@ -513,9 +704,8 @@ def trace_columns(trace: ValueTrace) -> TraceColumns | None:
     """
     if trace._columns is not False:
         return trace._columns
-    try:
-        import numpy as np
-    except ImportError:
+    np = _numpy()
+    if np is None:
         return None
     categories, op_to_cat = _category_mapping(OPCODE_ORDER)
     try:
@@ -546,8 +736,8 @@ def save_trace_file(
 ) -> None:
     """Serialise ``trace`` to ``path`` as ``"text"`` (v2) or ``"binary"`` (v3).
 
-    ``compress`` only applies to the binary format; the text form is the
-    canonical digest encoding and stays uncompressed.
+    ``compress`` only applies to the binary format; the text form stays
+    uncompressed.
     """
     if format == "text":
         with open(path, "w", encoding="utf-8") as handle:

@@ -18,7 +18,7 @@ from repro.engine.codecs import (
     payload_trace_digest,
     payload_trace_text,
 )
-from repro.trace.io import dumps_trace
+from repro.trace.io import dumps_trace, dumps_trace_binary
 from repro.trace.synthetic import trace_from_values
 
 SCALE = 0.05
@@ -51,13 +51,13 @@ class TestCacheEntryEnvelope:
         payload = {"trace_text": text, "statistics": {"predicted": 100}}
         _, restored = decode_cache_entry(encode_cache_entry({"kind": "trace"}, payload))
         # The trace comes back in binary form; the accessors restore the
-        # canonical text (and its digest) bit-identically.
+        # canonical text and the digest of the canonical v3 bytes.
         assert "trace_text" not in restored and "trace_binary" in restored
         assert payload_trace_text(restored) == text
         assert dumps_trace(payload_trace(restored)) == text
         assert (
             payload_trace_digest(restored)
-            == hashlib.sha256(text.encode("utf-8")).hexdigest()
+            == hashlib.sha256(dumps_trace_binary(trace)).hexdigest()
         )
         assert restored["statistics"] == {"predicted": 100}
 

@@ -338,19 +338,40 @@ class TestTraceWireFormat:
         from hashlib import sha256
 
         from repro.engine.codecs import payload_trace, payload_trace_digest
+        from repro.engine.fingerprint import trace_digest
         from repro.engine.tasks import TraceTask
         from repro.engine.worker import execute_trace_task
-        from repro.trace.io import dumps_trace
+        from repro.trace.io import dumps_trace_binary
 
         outcome = execute_trace_task(TraceTask.for_workload("compress", SCALE).payload())
         assert "trace_text" not in outcome
         assert isinstance(outcome["trace_binary"], bytes)
         trace = payload_trace(outcome)
-        text = dumps_trace(trace)
-        assert outcome["digest"] == sha256(text.encode("utf-8")).hexdigest()
+        # The digest is the SHA-256 of the uncompressed v3 bytes; the
+        # outcome carries the compressed form of those same bytes.
+        binary = dumps_trace_binary(trace)
+        assert outcome["digest"] == sha256(binary).hexdigest() == trace_digest(trace)
+        assert outcome["trace_binary"] == dumps_trace_binary(trace, compress=True)
         assert payload_trace_digest(outcome) == outcome["digest"]
         reference = get_workload("compress").trace(scale=SCALE)
         assert len(trace) == len(reference)
+
+    @pytest.mark.parametrize("form", ["binary", "text"])
+    def test_unstamped_payload_gets_the_worker_digest(self, form):
+        # A payload without a ``digest`` field (written by older code)
+        # falls back to computing it; the result must be the digest the
+        # worker stamps, whichever form the trace is stored in.
+        from repro.engine.codecs import payload_trace_digest
+        from repro.engine.tasks import TraceTask
+        from repro.engine.worker import execute_trace_task
+        from repro.trace.io import dumps_trace, loads_trace_binary
+
+        outcome = execute_trace_task(TraceTask.for_workload("compress", SCALE).payload())
+        if form == "binary":
+            unstamped = {"trace_binary": outcome["trace_binary"]}
+        else:
+            unstamped = {"trace_text": dumps_trace(loads_trace_binary(outcome["trace_binary"]))}
+        assert payload_trace_digest(unstamped) == outcome["digest"]
 
     def test_binary_outcome_smaller_than_text_form(self):
         from repro.engine.tasks import TraceTask

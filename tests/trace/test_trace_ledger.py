@@ -3,13 +3,16 @@
 ``artifact/expected/traces.json`` records, for each (benchmark, input,
 flags) configuration the committed manifest traces at scale 1.0, the
 record count, the dynamic instruction count, the execution summary, the
-SHA-256 of the canonical text form (the digest that keys the result
-cache) and the SHA-256 of the uncompressed v3 binary bytes.  Any change
-to the interpreter, the trace container or either codec that moves a
-single value shows up here, at the trace layer, before it reaches a table.
+SHA-256 of the canonical text form and the SHA-256 of the uncompressed v3
+binary bytes.  ``v3_sha256`` is the trace digest that keys the result
+cache (:func:`repro.engine.fingerprint.trace_digest`); ``text_sha256``
+now pins only the text export.  Any change to the interpreter, the trace
+container or either codec that moves a single value shows up here, at
+the trace layer, before it reaches a table.
 
-Pure Python: no numpy needed.  To print a fresh ledger (only when a
-change is *meant* to alter the traces)::
+No numpy needed: without it the scalar v3 encoder runs and must produce
+the same bytes.  To print a fresh ledger (only when a change is *meant*
+to alter the traces)::
 
     PYTHONPATH=src python tests/trace/test_trace_ledger.py > artifact/expected/traces.json
 """
@@ -22,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine.fingerprint import trace_digest
 from repro.trace.io import dumps_trace, dumps_trace_binary
 from repro.workloads.suite import get_workload
 
@@ -99,6 +103,20 @@ def test_trace_matches_ledger(configuration):
         for entry in _ledger()["traces"]
     }[configuration]
     assert ledger_entry(*configuration) == expected
+
+
+@pytest.mark.parametrize(
+    "configuration", CONFIGURATIONS, ids=["/".join(c) for c in CONFIGURATIONS]
+)
+def test_cache_digest_is_the_ledger_v3_sha256(configuration):
+    expected = {
+        (entry["benchmark"], entry["input"], entry["flags"]): entry
+        for entry in _ledger()["traces"]
+    }[configuration]
+    trace = get_workload(configuration[0]).trace(
+        scale=LEDGER_SCALE, input_name=configuration[1], flags=configuration[2]
+    )
+    assert trace_digest(trace) == expected["v3_sha256"]
 
 
 if __name__ == "__main__":
