@@ -44,7 +44,12 @@ from repro.engine.sharding import (
     plan_shard_windows,
     run_windowed_simulations,
 )
-from repro.engine.tasks import TASK_FORMAT_VERSION, SimulateTask, TraceTask
+from repro.engine.tasks import (
+    TASK_FORMAT_VERSION,
+    SimulateTask,
+    TraceTask,
+    wire_trace_bytes,
+)
 from repro.engine.telemetry import NULL_TELEMETRY, Telemetry
 from repro.engine.worker import execute_simulate_task, execute_trace_task
 from repro.simulation.simulator import PredictorShard, merge_shards
@@ -372,7 +377,8 @@ class ExecutionEngine:
         }
         traces: dict = {}
         # The v3 bytes each trace arrived as, fresh or cached; the simulate
-        # phase ships them as they are.  None for a text payload.
+        # phase ships them as they are.  None for a text payload, whose
+        # trace the simulate phase encodes on first off-process use.
         trace_bytes: dict[str, bytes | None] = {}
         digests: dict[str, str] = {}
         statistics: dict = {}
@@ -468,12 +474,13 @@ class ExecutionEngine:
                     shard_plans[benchmark] = windows
 
         def build_payload(task: SimulateTask, inline: bool) -> dict:
-            return task.payload(
-                traces[task.benchmark],
-                inline=inline,
-                trace_bytes=trace_bytes[task.benchmark],
-                kernel=self.kernel,
-            )
+            if inline:
+                return task.payload(traces[task.benchmark], kernel=self.kernel)
+            if trace_bytes[task.benchmark] is None:
+                # A text cache entry: encode it once, however many
+                # predictors are pending over it.
+                trace_bytes[task.benchmark] = wire_trace_bytes(traces[task.benchmark])
+            return task.payload(trace_bytes[task.benchmark], kernel=self.kernel)
 
         def accept_shard(uid: tuple[str, str], payload: dict) -> bool:
             benchmark, predictor = uid

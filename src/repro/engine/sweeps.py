@@ -55,7 +55,7 @@ from repro.engine.fingerprint import predictor_signature, predictors_fingerprint
 from repro.engine.phases import PhaseSpec, PhaseTask, run_phase
 from repro.engine.scheduler import EngineStats
 from repro.engine.sharding import WindowedUnit, plan_shard_windows, run_windowed_simulations
-from repro.engine.tasks import SimulateTask, TraceTask
+from repro.engine.tasks import SimulateTask, TraceTask, wire_trace_bytes
 from repro.engine.telemetry import TELEMETRY_KEY
 from repro.engine.worker import execute_simulate_task, execute_trace_task
 from repro.errors import SweepError
@@ -284,6 +284,7 @@ class _LazyTrace:
         self._payload = payload
         self._repair = repair
         self._trace: ValueTrace | None = None
+        self._bytes: bytes | None = None
 
     def get(self) -> ValueTrace:
         if self._trace is None:
@@ -294,14 +295,21 @@ class _LazyTrace:
                 self._trace = payload_trace(self._payload)
         return self._trace
 
-    def trace_bytes(self) -> bytes | None:
-        """The payload's v3 bytes (``None`` for a text payload).
+    def trace_bytes(self) -> bytes:
+        """The trace's v3 bytes for an off-process simulate payload.
 
+        The payload's own bytes when it has them; a text payload is
+        encoded once, however many predictors are pending over it (an
+        order study has one trace under its whole predictor axis).
         Decodes the trace first, so corrupt bytes are repaired here rather
         than shipped to a worker.
         """
-        self.get()
-        return self._payload.get("trace_binary")
+        if self._bytes is None:
+            trace = self.get()
+            self._bytes = self._payload.get("trace_binary")
+            if self._bytes is None:
+                self._bytes = wire_trace_bytes(trace)
+        return self._bytes
 
 
 def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
@@ -452,12 +460,8 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
 
     def build_simulate_payload(unit: tuple[str, str], inline: bool) -> dict:
         task, config = units[unit]
-        return task.payload(
-            traces[config].get(),
-            inline=inline,
-            trace_bytes=traces[config].trace_bytes(),
-            kernel=engine.kernel,
-        )
+        trace = traces[config].get() if inline else traces[config].trace_bytes()
+        return task.payload(trace, kernel=engine.kernel)
 
     def accept_shard(unit: tuple[str, str], payload: dict) -> bool:
         shards[unit] = shard_from_dict(payload["shard"])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.trace.io import dumps_trace_binary
 from repro.trace.stream import ValueTrace
 
 #: Bump when the meaning of a task's output changes incompatibly, so stale
@@ -41,6 +42,15 @@ TASK_FORMAT_VERSION = 5
 def _canonical_scale(scale: float) -> str:
     """Render a scale factor stably for use inside cache keys."""
     return repr(round(float(scale), 9))
+
+
+def wire_trace_bytes(trace: ValueTrace) -> bytes:
+    """``trace``'s v3 bytes for a :meth:`SimulateTask.payload` sent off-process.
+
+    Compressed framing: unlike the cache envelope (whose outer zlib pass
+    covers the whole body) nothing else compresses the pool wire.
+    """
+    return dumps_trace_binary(trace, compress=True)
 
 
 @dataclass(frozen=True)
@@ -115,24 +125,18 @@ class SimulateTask:
             "signature": self.predictor_signature,
         }
 
-    def payload(
-        self,
-        trace: ValueTrace | None,
-        inline: bool,
-        trace_bytes: bytes | None = None,
-        kernel: str | None = None,
-    ) -> dict:
+    def payload(self, trace: ValueTrace | bytes, kernel: str | None = None) -> dict:
         """Build the worker payload.
 
-        ``inline`` payloads carry the trace object itself (no serialisation
-        cost; used when executing in-process), otherwise the trace travels
-        as v3 binary bytes — the same compact framing the cache stores —
-        so the payload stays picklable and roughly an order of magnitude
-        smaller on the pool wire than the canonical text form.  Schedulers
-        pass the ``trace_bytes`` the trace phase already holds, fresh off
-        the worker or from the cache, so no trace is encoded twice; only a
-        trace without them (a text cache entry) is encoded here, once per
-        task.  The expected predictor signature rides along so
+        A :class:`ValueTrace` travels inline (no serialisation cost; used
+        when executing in-process); ``bytes`` are the trace's v3 binary
+        form — the same compact framing the cache stores — which keeps
+        the payload picklable and roughly an order of magnitude smaller on
+        the pool wire than the canonical text form.  Schedulers pass the
+        bytes the trace phase already holds, fresh off the worker or from
+        the cache, and encode a trace that arrived without them (a text
+        cache entry) once with :func:`wire_trace_bytes`, so no task
+        encodes a trace.  The expected predictor signature rides along so
         a worker whose registry disagrees (e.g. a ``spawn``-start process
         that re-imported a registry without a dynamic re-binding) fails
         loudly instead of simulating the wrong configuration.
@@ -143,23 +147,16 @@ class SimulateTask:
         it against its own environment, so an ``"auto"`` fleet mixing
         numpy-less hosts still computes identical shards everywhere.
         """
-        from repro.trace.io import dumps_trace_binary
-
         payload: dict = {
             "predictor": self.predictor,
             "signature": self.predictor_signature,
         }
         if kernel is not None:
             payload["kernel"] = kernel
-        if inline:
-            payload["trace"] = trace
-        elif trace_bytes is not None:
-            payload["trace_bytes"] = trace_bytes
+        if isinstance(trace, bytes):
+            payload["trace_bytes"] = trace
         else:
-            # Compressed framing: unlike the cache envelope (whose outer
-            # zlib pass covers the whole body) nothing else compresses the
-            # pool wire, so the task opts in here.
-            payload["trace_bytes"] = dumps_trace_binary(trace, compress=True)
+            payload["trace"] = trace
         return payload
 
 

@@ -13,7 +13,8 @@ import pytest
 
 from repro.engine import ExecutionEngine
 from repro.engine.sweeps import SweepSpec, clear_sweep_cache, run_sweep
-from repro.engine.tasks import SimulateTask
+from repro.engine.backends import SerialBackend
+from repro.engine.tasks import SimulateTask, wire_trace_bytes
 from repro.engine.worker import execute_simulate_task
 from repro.errors import SweepError, WorkloadError
 from repro.simulation.sensitivity import (
@@ -411,6 +412,47 @@ class TestTraceWireFormat:
         assert result.points[0].result == cold.points[0].result
 
 
+class _BytesPayloadBackend(SerialBackend):
+    """Runs in-process but asks for off-process payloads, and keeps them."""
+
+    name = "bytes-payload"
+
+    def __init__(self) -> None:
+        self.payloads: list[dict] = []
+
+    def inline_payloads(self, task_count: int) -> bool:
+        return False
+
+    def map(self, function, payloads, on_result=None):
+        self.payloads.extend(payloads)
+        return super().map(function, payloads, on_result)
+
+
+class TestTextCacheWire:
+    """A trace read from a text cache entry is encoded once for the wire."""
+
+    @pytest.mark.parametrize("run", ["campaign", "sweep"])
+    def test_one_encode_per_trace(self, tmp_path, run):
+        def go(engine, predictors):
+            if run == "campaign":
+                return engine.run(SCALE, predictors, ("compress",)).simulations["compress"]
+            spec = SweepSpec(benchmark="compress", scale=SCALE, predictors=predictors)
+            return [point.result for point in engine.run_sweep(spec).points]
+
+        cache_dir = tmp_path / "cache"
+        # Cache the trace (as text) but no simulation of the predictors below.
+        go(ExecutionEngine(jobs=1, cache_dir=cache_dir, cache_format="text"), ("l",))
+        backend = _BytesPayloadBackend()
+        warm = ExecutionEngine(jobs=1, cache_dir=cache_dir, cache_format="text", backend=backend)
+        predictors = ("s2", "fcm3")
+        result = go(warm, predictors)
+        assert warm.stats.traces_computed == 0
+        shipped = [payload["trace_bytes"] for payload in backend.payloads]
+        assert len(shipped) == len(predictors)
+        assert len({id(data) for data in shipped}) == 1
+        assert result == go(ExecutionEngine(jobs=1), predictors)
+
+
 class TestBinaryWireFormat:
     def test_pool_payload_carries_v3_bytes(self, compress_trace):
         task = SimulateTask(
@@ -419,7 +461,7 @@ class TestBinaryWireFormat:
             trace_digest="d",
             predictor_signature="sig",
         )
-        payload = task.payload(compress_trace, inline=False)
+        payload = task.payload(wire_trace_bytes(compress_trace))
         assert "trace_text" not in payload
         assert isinstance(payload["trace_bytes"], bytes)
 
@@ -444,6 +486,6 @@ class TestBinaryWireFormat:
         task = SimulateTask(
             benchmark="compress", predictor="l", trace_digest="d", predictor_signature="s"
         )
-        payload = task.payload(compress_trace, inline=False)
+        payload = task.payload(wire_trace_bytes(compress_trace))
         text = dumps_trace(compress_trace)
         assert len(payload["trace_bytes"]) < len(text.encode("utf-8")) // 10

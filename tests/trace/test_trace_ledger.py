@@ -27,6 +27,7 @@ import pytest
 
 from repro.engine.fingerprint import trace_digest
 from repro.trace.io import dumps_trace, dumps_trace_binary
+from repro.workloads.base import WorkloadRun
 from repro.workloads.suite import get_workload
 
 LEDGER_PATH = Path(__file__).resolve().parents[2] / "artifact" / "expected" / "traces.json"
@@ -52,9 +53,13 @@ CONFIGURATIONS = (
 )
 
 
-def ledger_entry(benchmark: str, input_name: str, flags: str) -> dict:
-    """Regenerate one configuration's trace and summarise it for the ledger."""
-    run = get_workload(benchmark).run(scale=LEDGER_SCALE, input_name=input_name, flags=flags)
+def trace_configuration(benchmark: str, input_name: str, flags: str) -> WorkloadRun:
+    """Regenerate one configuration's trace."""
+    return get_workload(benchmark).run(scale=LEDGER_SCALE, input_name=input_name, flags=flags)
+
+
+def ledger_entry(benchmark: str, input_name: str, flags: str, run: WorkloadRun) -> dict:
+    """Summarise one configuration's traced run for the ledger."""
     trace, execution = run.trace, run.execution
     return {
         "benchmark": benchmark,
@@ -78,7 +83,10 @@ def ledger_entry(benchmark: str, input_name: str, flags: str) -> dict:
 def build_ledger() -> dict:
     return {
         "scale": LEDGER_SCALE,
-        "traces": [ledger_entry(*configuration) for configuration in CONFIGURATIONS],
+        "traces": [
+            ledger_entry(*configuration, trace_configuration(*configuration))
+            for configuration in CONFIGURATIONS
+        ],
     }
 
 
@@ -102,21 +110,9 @@ def test_trace_matches_ledger(configuration):
         (entry["benchmark"], entry["input"], entry["flags"]): entry
         for entry in _ledger()["traces"]
     }[configuration]
-    assert ledger_entry(*configuration) == expected
-
-
-@pytest.mark.parametrize(
-    "configuration", CONFIGURATIONS, ids=["/".join(c) for c in CONFIGURATIONS]
-)
-def test_cache_digest_is_the_ledger_v3_sha256(configuration):
-    expected = {
-        (entry["benchmark"], entry["input"], entry["flags"]): entry
-        for entry in _ledger()["traces"]
-    }[configuration]
-    trace = get_workload(configuration[0]).trace(
-        scale=LEDGER_SCALE, input_name=configuration[1], flags=configuration[2]
-    )
-    assert trace_digest(trace) == expected["v3_sha256"]
+    run = trace_configuration(*configuration)
+    assert ledger_entry(*configuration, run) == expected
+    assert trace_digest(run.trace) == expected["v3_sha256"]
 
 
 if __name__ == "__main__":
