@@ -103,33 +103,23 @@ def execute_simulate_task(payload: dict) -> dict:
     *this* worker's environment (see
     :func:`repro.simulation.vectorized.resolve_kernel`), and under the
     vector kernel binary wire bytes decode straight into numpy columns —
-    no ``TraceRecord`` objects are ever materialised on the hot path.
+    no ``TraceRecord`` objects are ever materialised on the hot path — and
+    a worker decodes each trace once for all of its consecutive tasks
+    over it (:func:`_decoded_columns`).
     """
     started = time.perf_counter()
     kernel = resolve_kernel(payload.get("kernel"))
-    name = payload["predictor"]
-    expected_signature = payload.get("signature")
-    if expected_signature is not None:
-        local_signature = create_predictor(name).config_signature()
-        if local_signature != expected_signature:
-            # A worker whose registry binds `name` differently than the
-            # scheduler's (possible under the spawn start method, where
-            # dynamic re-bindings are not inherited) must not produce a
-            # shard that would be cached under the scheduler's signature.
-            raise SimulationError(
-                f"predictor {name!r} is configured differently in this worker: "
-                f"expected signature {expected_signature!r}, got {local_signature!r}"
-            )
+    name = _check_signature(payload)
     shard = None
     trace = payload.get("trace")
     trace_bytes = payload.get("trace_bytes") if trace is None else None
     if kernel == "vector":
         from repro.simulation.vectorized import simulate_shard_vector
-        from repro.trace.io import decode_trace_columns, trace_columns
+        from repro.trace.io import trace_columns
 
         columns = None
         if trace is None and trace_bytes is not None:
-            columns = decode_trace_columns(trace_bytes)
+            columns = _decoded_columns(trace_bytes)
         if columns is None:
             trace = _payload_records(payload)
             columns = trace_columns(trace)
@@ -152,6 +142,28 @@ def execute_simulate_task(payload: dict) -> dict:
     }
 
 
+#: ``(trace_bytes, columns)`` of the trace this worker decoded last.
+#: Simulate tasks are dispatched benchmark-major, so consecutive tasks of
+#: a worker mostly ship the same trace; one slot turns their repeated
+#: decodes (and per-trace groupings, memoised on the columns) into one.
+_DECODED: tuple[bytes, object] | None = None
+
+
+def _decoded_columns(trace_bytes: bytes):
+    """:func:`decode_trace_columns`, reusing the last decode on equal bytes.
+
+    The slot is keyed by the bytes themselves, not a digest: equality is
+    one length check and one memcmp, and it cannot collide.
+    """
+    from repro.trace.io import decode_trace_columns
+
+    global _DECODED
+    decoded = _DECODED  # read once: remote workers run tasks on threads
+    if decoded is None or decoded[0] != trace_bytes:
+        decoded = _DECODED = (trace_bytes, decode_trace_columns(trace_bytes))
+    return decoded[1]
+
+
 def _check_signature(payload: dict) -> str:
     """Validate the payload's expected predictor signature; returns the name."""
     name = payload["predictor"]
@@ -159,6 +171,10 @@ def _check_signature(payload: dict) -> str:
     if expected_signature is not None:
         local_signature = create_predictor(name).config_signature()
         if local_signature != expected_signature:
+            # A worker whose registry binds `name` differently than the
+            # scheduler's (possible under the spawn start method, where
+            # dynamic re-bindings are not inherited) must not produce a
+            # shard that would be cached under the scheduler's signature.
             raise SimulationError(
                 f"predictor {name!r} is configured differently in this worker: "
                 f"expected signature {expected_signature!r}, got {local_signature!r}"

@@ -37,6 +37,9 @@ whole-trace array passes over the columnar form of a trace
 
 Every registered configuration (and every dynamic ``fcmN`` /
 ``fcmN-single`` / ``fcmN-small`` / ``fcmN-full`` spelling) has a plan.
+The plans over one trace share its derived arrays — FCM context ids once
+per order, cold-start results once per configuration signature — in a
+single process-wide slot (:class:`_SharedWork`).
 Plans can also start from a restored predictor snapshot
 (:mod:`repro.simulation.state`), which lets ``simulate-window`` shards of
 an intra-trace sharded run execute on the vector kernel: snapshot tables
@@ -153,6 +156,47 @@ def _grouping(np, columns) -> _Grouping:
         grouping = _Grouping(np, columns)
         columns.scratch["grouping"] = grouping
     return grouping
+
+
+class _SharedWork:
+    """Kernel work that every cold-start plan over one grouping shares.
+
+    ``contexts`` maps an FCM order to its context ids (see
+    :func:`_context_ids`); ``results`` maps a predictor's
+    ``config_signature()`` to its plan's ``(has, pred)``, so a hybrid's
+    components and the same configurations simulated on their own are
+    computed once.  Every stored array is read-only.
+    """
+
+    def __init__(self, group: _Grouping) -> None:
+        self.group = group
+        self.contexts: dict[int, object] = {}
+        self.results: dict[str, tuple] = {}
+
+
+#: The shared work of the grouping simulated last, in one process-wide
+#: slot.  It holds the grouping by strong reference, so identity cannot
+#: be recycled while the slot lives, and it is replaced as soon as a plan
+#: runs over another grouping: one trace's derived arrays at a time,
+#: however many traces the process keeps alive.
+_SHARED: _SharedWork | None = None
+
+
+def _shared(group: _Grouping) -> _SharedWork:
+    # Read the slot once: a remote worker serves connections on threads,
+    # and a concurrent replacement must never hand back another group's.
+    global _SHARED
+    shared = _SHARED
+    if shared is None or shared.group is not group:
+        shared = _SHARED = _SharedWork(group)
+    return shared
+
+
+def _frozen(array):
+    """A read-only view, so a plan writing into a shared array fails loudly."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def _factorize_pairs(np, a, b):
@@ -921,11 +965,32 @@ def _fcm_seed(np, group, order, stream, seeds):
     )
 
 
+def _context_ids(np, group, order):
+    """Per-record ids of the (PC, last ``order`` values) context.
+
+    Two records get the same id exactly when they share that context;
+    the ids are valid where ``t >= order`` (``-1`` elsewhere) and are not
+    dense, which :func:`_fcm_stream` does not need.  Order ``k`` extends
+    order ``k - 1`` by one pair factorisation, and every order of the
+    grouping is memoised in the shared slot, so all FCM plans over a
+    trace together factorise at most once per order.
+    """
+    if order == 0:
+        return group.gid
+    contexts = _shared(group).contexts
+    ids = contexts.get(order)
+    if ids is None:
+        shorter = _context_ids(np, group, order - 1)
+        valid = np.flatnonzero(group.t >= order)
+        ids = np.full(group.n, -1, dtype=np.int64)
+        ids[valid] = _factorize_pairs(np, shorter[valid], group.vs[valid - order])
+        ids = contexts[order] = _frozen(ids)
+    return ids
+
+
 def _plan_fcm(np, group, order):
     stream = np.flatnonzero(group.t >= order)
-    keys = group.gid[stream]
-    for back in range(1, order + 1):
-        keys = _factorize_pairs(np, keys, group.vs[stream - back])
+    keys = _context_ids(np, group, order)[stream]
     stream_has, stream_pred = _fcm_stream(np, keys, group.vs[stream])
     has = np.zeros(group.n, dtype=bool)
     pred = np.zeros(group.n, dtype=np.int64)
@@ -983,9 +1048,7 @@ def _plan_blended_fcm(np, group, order):
         candidates = np.flatnonzero(remaining & (group.t >= model_order))
         if candidates.size == 0:
             continue
-        keys = group.gid[candidates]
-        for back in range(1, model_order + 1):
-            keys = _factorize_pairs(np, keys, group.vs[candidates - back])
+        keys = _context_ids(np, group, model_order)[candidates]
         stream_has, stream_pred = _fcm_stream(np, keys, group.vs[candidates])
         matched = candidates[stream_has]
         has[matched] = True
@@ -1203,7 +1266,8 @@ def _plan_hybrid(predictor, component_plans):
 
 
 # --------------------------------------------------------------------------- #
-# Plan resolution (memoised per registry name)
+# Plan resolution (memoised per registry name; cold-start results shared
+# per configuration)
 # --------------------------------------------------------------------------- #
 def _plan_for(predictor):
     """Build the vector plan for a predictor instance, or ``None``.
@@ -1213,8 +1277,38 @@ def _plan_for(predictor):
     is a :func:`repro.simulation.state.snapshot_predictor` dict (or
     ``None`` for a cold start).  Dispatch inspects the instantiated
     configuration, so dynamic names and re-bound registry entries select
-    the right plan.
+    the right plan.  Cold-start results are memoised under the
+    configuration signature (:func:`_memoised`).
     """
+    plan = _build_plan(predictor)
+    if plan is None:
+        return None
+    return _memoised(plan, predictor.config_signature())
+
+
+def _memoised(plan, signature: str):
+    """Serve a cold-start plan's ``(has, pred)`` from the shared slot.
+
+    Equal signatures mean interchangeable predictors, so a hybrid's
+    components and the standalone configurations share one result per
+    trace.  Snapshot-started runs and augmented groupings bypass the memo.
+    """
+
+    def memoised_plan(np, columns, group, state):
+        if state is not None or type(group) is not _Grouping:
+            return plan(np, columns, group, state)
+        results = _shared(group).results
+        result = results.get(signature)
+        if result is None:
+            has, pred = plan(np, columns, group, state)
+            result = results[signature] = (_frozen(has), _frozen(pred))
+        return result
+
+    return memoised_plan
+
+
+def _build_plan(predictor):
+    """The unmemoised plan of :func:`_plan_for`."""
     from repro.core.blending import BlendedFcmPredictor
     from repro.core.fcm import FcmPredictor
     from repro.core.hybrid import HybridPredictor

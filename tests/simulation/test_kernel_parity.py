@@ -458,6 +458,76 @@ class TestWindowedVectorParity:
                 assert_window_parity(trace, name, split)
 
 
+#: Hybrids and the standalone configurations of their components.
+_HYBRIDS = tuple(name for name in ALL_NAMES if name.startswith("hybrid-"))
+
+
+def _sharing_orders(seed: int):
+    """Several simulation orders: hybrids first, hybrids last, shuffles."""
+    rest = [name for name in ALL_NAMES if name not in _HYBRIDS]
+    rng = random.Random(seed)
+    shuffled = [list(ALL_NAMES) for _ in range(2)]
+    for order in shuffled:
+        rng.shuffle(order)
+    return [list(_HYBRIDS) + rest, rest + list(_HYBRIDS), *shuffled]
+
+
+@requires_numpy
+class TestSharedWork:
+    """Per-trace kernel work shared across predictors changes no result."""
+
+    @pytest.mark.parametrize("scenario", SCENARIOS[:3], ids=lambda s: f"seed{s[0]}")
+    def test_shared_columns_match_fresh_columns(self, scenario):
+        blob = dumps_trace_binary(synthetic_trace(*scenario))
+        # Fresh columns per predictor: a new grouping every time, so no
+        # context id or plan result is ever reused.
+        fresh = {
+            name: vectorized.simulate_shard_vector(decode_trace_columns(blob), name)
+            for name in ALL_NAMES
+        }
+        for order in _sharing_orders(scenario[0]):
+            columns = decode_trace_columns(blob)
+            for name in order:
+                shard = vectorized.simulate_shard_vector(columns, name)
+                assert shard.correctness == fresh[name].correctness, (name, order)
+                assert shard_to_dict(shard) == shard_to_dict(fresh[name]), (name, order)
+
+    def test_shared_arrays_are_read_only(self):
+        columns = decode_trace_columns(dumps_trace_binary(synthetic_trace(*SCENARIOS[0])))
+        for name in ALL_NAMES:
+            vectorized.simulate_shard_vector(columns, name)
+        shared = vectorized._SHARED
+        assert shared.group is columns.scratch["grouping"]
+        assert set(shared.contexts) == set(range(1, 9))
+        arrays = list(shared.contexts.values())
+        for has, pred in shared.results.values():
+            arrays.extend((has, pred))
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[:1] = 0
+
+    def test_hybrid_fills_its_components_results(self):
+        from repro.core.registry import create_predictor
+
+        columns = decode_trace_columns(dumps_trace_binary(synthetic_trace(*SCENARIOS[1])))
+        vectorized.simulate_shard_vector(columns, "hybrid-oracle")
+        results = vectorized._SHARED.results
+        for name in ("l", "s2", "fcm3", "hybrid-oracle"):
+            assert create_predictor(name).config_signature() in results, name
+        assert create_predictor("s").config_signature() not in results
+
+    def test_slot_holds_one_grouping(self):
+        blob = dumps_trace_binary(synthetic_trace(*SCENARIOS[2]))
+        first, second = decode_trace_columns(blob), decode_trace_columns(blob)
+        vectorized.simulate_shard_vector(first, "fcm2")
+        vectorized.simulate_shard_vector(second, "fcm2")
+        assert vectorized._SHARED.group is second.scratch["grouping"]
+        # The shared arrays live in the slot, not on the columns: traces
+        # kept alive for a whole run must not each carry them.
+        assert set(second.scratch) <= {"grouping", "category_totals"}
+
+
 @requires_numpy
 class TestAccounting:
     def test_counter_counts_one_per_trace_predictor_pair(self):
