@@ -213,12 +213,16 @@ def _engine_versions() -> dict:
 
 
 def _package_version() -> str:
+    """The installed distribution's version, else the source tree's."""
     try:
         from importlib.metadata import version
 
         return version("repro-vp")
     except Exception:
-        return "unknown"
+        # Running from an uninstalled checkout (PYTHONPATH=src).
+        from repro import __version__
+
+        return __version__
 
 
 class RunTelemetry(Telemetry):

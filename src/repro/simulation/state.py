@@ -26,7 +26,7 @@ that make the handoff exact:
 Snapshots feed both kernels: the scalar window path restores a predictor
 object and runs the reference observe loop, while the vector kernel's
 plans (:mod:`repro.simulation.vectorized`) consume the snapshot dict
-directly — seeding per-group state arrays and virtual-record prefixes —
+directly — virtual-record prefixes, or seeded FCM counts and chooser scores —
 so ``--kernel vector`` composes with ``--shard-window``.
 
 Snapshots are a transport format between one replay and the windows it

@@ -6,15 +6,14 @@ record.  This module re-expresses the paper's predictor table walks as
 whole-trace array passes over the columnar form of a trace
 (:class:`repro.trace.io.TraceColumns`):
 
-* **last value / stride / two-delta** become segmented scans over per-PC
-  groups — sort by PC (stable, so program order survives within a group),
-  then shifted compares and a forward-fill give every record the table
-  state its scalar ``predict`` would have seen;
-* **saturating-counter variants** (``lv-counter``, ``lv-consecutive``,
-  ``stride-counter``) are feedback state machines, so they run in
-  *lockstep*: step ``k`` processes the ``k``-th record of every PC group
-  at once, advancing one small state vector per group.  Total elementwise
-  work stays O(n) because the active set shrinks with depth;
+* **last value / stride / two-delta / lv-consecutive** become segmented
+  scans over per-PC groups — sort by PC (stable, so program order
+  survives within a group), then shifted compares and a forward-fill
+  give every record the table state its scalar ``predict`` would see;
+* **``lv-counter`` and ``stride-counter``** feed a saturating counter
+  back into the stored value, so they step one counter-register
+  automaton over *lanes* (PC groups by descending size): step ``k``
+  touches a contiguous prefix, and total elementwise work stays O(n);
 * **FCM** becomes a hash-then-scatter pass: records are grouped by their
   exact (PC, context) key, occurrence counts come from a running count of
   (group, value) pairs, and the scalar tie-break of
@@ -24,11 +23,11 @@ whole-trace array passes over the columnar form of a trace
   keys, where ``rank`` is the value's insertion rank within its group.
   The ``counter_max`` halve-on-saturation variant and snapshot-seeded
   counts use the same pair/rank tables driven in lockstep;
-* **blended FCM** runs the FCM pass top-down over orders ``k..0``.  Under
-  lazy exclusion each order's candidate stream is exactly the records not
-  matched at a higher order (which is precisely the set that updates that
-  order's table); under full update every gated record feeds every order
-  and a record keeps the highest-order match;
+* **blended FCM** of order ``N`` is its top-order FCM pass plus the
+  lower orders' lazy-exclusion streams, which are the same for every
+  ``N`` above them and so are computed once per trace (see
+  :func:`_exclusion`); under full update every gated record feeds every
+  order and a record keeps the highest-order match;
 * **hybrids** compose their components' plans and vectorize the chooser:
   ``PcChooser`` scores are a segmented prefix scan over the saturating-add
   monoid ``y -> min(C, max(B, y + A))``, ``CategoryChooser`` is a static
@@ -38,13 +37,14 @@ whole-trace array passes over the columnar form of a trace
 Every registered configuration (and every dynamic ``fcmN`` /
 ``fcmN-single`` / ``fcmN-small`` / ``fcmN-full`` spelling) has a plan.
 The plans over one trace share its derived arrays — FCM context ids once
-per order, cold-start results once per configuration signature — in a
-single process-wide slot (:class:`_SharedWork`).
+per order, the counter lanes, the blended exclusion streams, cold-start
+results once per configuration signature — in a single process-wide
+slot (:class:`_SharedWork`).
 Plans can also start from a restored predictor snapshot
 (:mod:`repro.simulation.state`), which lets ``simulate-window`` shards of
 an intra-trace sharded run execute on the vector kernel: snapshot tables
-are folded in either as seeded per-group state vectors or as virtual
-prefix records that drive a fresh scan into exactly the snapshot state.
+are folded in either as seeded FCM counts and chooser scores or as
+virtual prefix records that drive a fresh scan into exactly the snapshot state.
 Cache keys never include the kernel: both kernels produce byte-identical
 entries, and the differential parity harness
 (``tests/simulation/test_kernel_parity.py``) pins that equivalence.
@@ -126,10 +126,9 @@ class _Grouping:
     records keep program order — the axis every predictor table walks).
     ``gid`` is a dense group id per sorted position, ``t`` the occurrence
     index of the record within its PC's stream, ``vs`` the values in the
-    sorted domain.  ``starts``/``sizes``/``unique_pcs`` describe the
-    groups themselves: the lockstep plans index records as
-    ``starts[g] + k`` and snapshot tables are joined on ``unique_pcs``
-    (ascending, so ``searchsorted`` applies).
+    sorted domain.  ``sizes``/``unique_pcs`` describe the groups
+    themselves: snapshot tables are joined on ``unique_pcs`` (ascending,
+    so ``searchsorted`` applies).
     """
 
     def __init__(self, np, columns) -> None:
@@ -145,7 +144,6 @@ class _Grouping:
         self.gid = np.cumsum(new_group) - 1
         starts = np.flatnonzero(new_group)
         self.t = np.arange(n) - (starts[self.gid] if n else 0)
-        self.starts = starts
         self.sizes = np.diff(np.append(starts, n))
         self.unique_pcs = sorted_pcs[starts]
 
@@ -161,16 +159,21 @@ def _grouping(np, columns) -> _Grouping:
 class _SharedWork:
     """Kernel work that every cold-start plan over one grouping shares.
 
-    ``contexts`` maps an FCM order to its context ids (see
-    :func:`_context_ids`); ``results`` maps a predictor's
-    ``config_signature()`` to its plan's ``(has, pred)``, so a hybrid's
-    components and the same configurations simulated on their own are
-    computed once.  Every stored array is read-only.
+    ``contexts`` and ``first_seen`` map an FCM order to its context ids
+    and first-occurrence flags (:func:`_context_ids`), ``exclusions`` to
+    its blended matches (:func:`_exclusion`); ``lanes`` is the counter
+    layout (:func:`_lanes`); ``results`` maps a ``config_signature()`` to
+    its plan's ``(has, pred)``, so a hybrid's components and the same
+    configurations on their own are computed once.  Every stored array
+    is read-only.
     """
 
     def __init__(self, group: _Grouping) -> None:
         self.group = group
         self.contexts: dict[int, object] = {}
+        self.first_seen: dict[int, object] = {}
+        self.exclusions: dict[int, tuple] = {}
+        self.lanes: tuple | None = None
         self.results: dict[str, tuple] = {}
 
 
@@ -200,9 +203,11 @@ def _frozen(array):
 
 
 def _factorize_pairs(np, a, b):
-    """Dense ids for the distinct ``(a[i], b[i])`` pairs (order-arbitrary)."""
+    """Dense ids for the distinct ``(a[i], b[i])`` pairs (order-arbitrary),
+    and flags marking each pair's first (lowest-index) element: the
+    lexsort is stable, so that element leads its run."""
     if len(a) == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
     order = np.lexsort((b, a))
     a_sorted = a[order]
     b_sorted = b[order]
@@ -211,7 +216,9 @@ def _factorize_pairs(np, a, b):
     boundary[1:] = (a_sorted[1:] != a_sorted[:-1]) | (b_sorted[1:] != b_sorted[:-1])
     ids = np.empty(len(a), dtype=np.int64)
     ids[order] = np.cumsum(boundary) - 1
-    return ids
+    leads = np.empty(len(a), dtype=bool)
+    leads[order] = boundary
+    return ids, leads
 
 
 def _segmented_cummax(np, gid, keys, key_bound: int):
@@ -262,15 +269,22 @@ class _AugmentedGroup:
     """A grouping-shaped view with per-group virtual prefix records.
 
     Snapshot state folds into a stateless scan by prepending, per group,
-    a short synthetic value sequence; the unmodified scan runs over the
-    extended columns and the outputs at the ``real`` positions are the
-    answers.  For FCM plans the prefix is the entry's value history, used
-    only for context lookback — virtual positions never join any
-    update stream.
+    a short synthetic value sequence — ``prefix_of(payload)`` for each of
+    the ``(gid, payload)`` snapshot ``entries`` — and the unmodified scan
+    runs over the extended columns; the outputs at the ``real`` positions
+    are the answers.  For FCM plans the prefix is the entry's value
+    history, used only for context lookback — virtual positions never
+    join any update stream.
     """
 
-    def __init__(self, np, group, prefix_lengths, prefix_values) -> None:
+    def __init__(self, np, group, entries, prefix_of) -> None:
         group_count = len(group.sizes)
+        prefix_lengths = np.zeros(group_count, dtype=np.int64)
+        prefix_values = []
+        for gid, payload in entries:
+            sequence = prefix_of(payload)
+            prefix_lengths[gid] = len(sequence)
+            prefix_values.extend(sequence)
         sizes = group.sizes + prefix_lengths
         n = int(sizes.sum())
         starts = np.zeros(group_count, dtype=np.int64)
@@ -278,39 +292,28 @@ class _AugmentedGroup:
             starts[1:] = np.cumsum(sizes)[:-1]
         self.n = n
         self.sizes = sizes
-        self.starts = starts
         self.gid = np.repeat(np.arange(group_count, dtype=np.int64), sizes)
         self.t = np.arange(n, dtype=np.int64) - starts[self.gid]
         self.real = self.t >= prefix_lengths[self.gid]
         values = np.empty(n, dtype=np.int64)
         values[self.real] = group.vs
-        values[~self.real] = prefix_values
+        values[~self.real] = _as_int64(np, prefix_values)
         self.vs = values
 
 
-def _augment_from_table(np, group, state, virtual_records):
-    """Augment ``group`` with the virtual records of a snapshot table.
+def _scan_plan(core, virtual_records):
+    """Wrap a stateless segmented-scan plan with snapshot-start support.
 
     ``virtual_records(fields)`` maps one table entry to the shortest value
     sequence that drives a fresh scalar entry into exactly the snapshot
     state (verified per predictor against the scalar update rules).
     """
-    prefix_lengths = np.zeros(len(group.sizes), dtype=np.int64)
-    values = []
-    for gid, fields in _present_entries(np, group, state):
-        sequence = virtual_records(fields)
-        prefix_lengths[gid] = len(sequence)
-        values.extend(sequence)
-    return _AugmentedGroup(np, group, prefix_lengths, _as_int64(np, values))
-
-
-def _scan_plan(core, virtual_records):
-    """Wrap a stateless segmented-scan plan with snapshot-start support."""
 
     def plan(np, columns, group, state):
         if state is None or not state["table"]:
             return core(np, group)
-        augmented = _augment_from_table(np, group, state, virtual_records)
+        entries = _present_entries(np, group, state)
+        augmented = _AugmentedGroup(np, group, entries, virtual_records)
         has, pred = core(np, augmented)
         real = np.flatnonzero(augmented.real)
         return has[real], pred[real]
@@ -347,15 +350,45 @@ def _virtual_two_delta(fields):
     ]
 
 
+def _virtual_lv_counter(fields, counter_max):
+    value, counter = fields[0], fields[1]
+    if not 0 <= counter <= counter_max:
+        raise _VectorizationUnsupported("lv-counter snapshot counter out of range")
+    # A fresh entry stores the value with counter 0; each repeat hits.
+    return [value] * (counter + 1)
+
+
+def _virtual_lv_consecutive(fields, required_run):
+    value, candidate, run = fields[0], fields[2], fields[3]
+    if candidate is None and run == 0:
+        return [value]
+    if candidate is None or candidate == value or not 0 < run < required_run:
+        raise _VectorizationUnsupported("inconsistent lv-consecutive snapshot entry")
+    # Each repeat of the candidate is a miss that extends its run.
+    return [value] + [candidate] * run
+
+
+def _virtual_stride_counter(fields, counter_max):
+    last_value, stride, counter = fields[0], fields[1], fields[2]
+    if not 0 <= counter <= counter_max or (stride is None and counter):
+        raise _VectorizationUnsupported("inconsistent stride-counter snapshot entry")
+    # A fresh entry acts as a zero stride with counter 0.  From there a
+    # nonzero delta misses and is adopted with the counter at 0, a zero
+    # delta hits, and every repeat of the delta hits.
+    stride = stride or 0
+    deltas = counter + 1 if stride else counter
+    return [wrap_value(last_value - back * stride) for back in range(deltas, -1, -1)]
+
+
 # --------------------------------------------------------------------------- #
 # Lockstep scheduling (feedback state machines: counters, saturating FCM)
 # --------------------------------------------------------------------------- #
 def _lockstep_schedule(np, sizes, n):
     """Schedule per-group state machines over the group depth.
 
-    Step ``k`` touches the ``k``-th record of every group that has one;
-    the active set is a prefix of the groups ordered by descending size,
-    so total elementwise work stays O(n).  The guard rejects the
+    Step ``k`` touches the ``k``-th record of every group that has one:
+    the first ``active[k]`` groups of ``by_size`` (descending size), so
+    total elementwise work stays O(n).  The guard rejects the
     pathological shape (one dominant group driving thousands of tiny
     steps) where per-step overhead would lose to the scalar loop anyway.
     """
@@ -363,13 +396,8 @@ def _lockstep_schedule(np, sizes, n):
     if depth > 4096 and depth * 32 > n:
         raise _VectorizationUnsupported("dominant group too deep for lockstep")
     by_size = np.argsort(-sizes, kind="stable")
-    negative_sizes = -sizes[by_size]
-    return by_size, negative_sizes, depth
-
-
-def _active_groups(np, by_size, negative_sizes, step):
-    """Groups whose size exceeds ``step`` (their ``step``-th record exists)."""
-    return by_size[: int(np.searchsorted(negative_sizes, -step, side="left"))]
+    active = np.searchsorted(-sizes[by_size], -np.arange(depth), side="left")
+    return by_size, active
 
 
 # --------------------------------------------------------------------------- #
@@ -398,7 +426,7 @@ def _fcm_stream(np, group_ids, y):
     u = np.arange(m) - np.flatnonzero(new_group)[gid]
 
     # Running count c of each (group, value) pair at each occurrence.
-    pid = _factorize_pairs(np, gid, y2)
+    pid, _ = _factorize_pairs(np, gid, y2)
     pair_order = np.argsort(pid, kind="stable")
     pid_sorted = pid[pair_order]
     pair_start = np.empty(m, dtype=bool)
@@ -478,11 +506,12 @@ def _plan_last_value(np, group):
 
 
 def _deltas(np, group):
-    """64-bit wrapping value deltas within each PC group (uint64 domain)."""
+    """64-bit wrapping value deltas within each PC group (uint64 domain),
+    zero on each group's first record."""
     values = group.vs.view(np.uint64)
     deltas = np.zeros(group.n, dtype=np.uint64)
-    if group.n > 1:
-        deltas[1:] = values[1:] - values[:-1]
+    deltas[1:] = values[1:] - values[:-1]
+    deltas[group.t == 0] = 0
     return deltas
 
 
@@ -496,185 +525,127 @@ def _stride_predictions(np, group, strides):
 
 
 def _plan_simple_stride(np, group):
-    deltas = _deltas(np, group)
     # Stride state after each update: the latest delta; zero (i.e. plain
     # last-value) while the entry has seen a single value.
-    strides = np.where(group.t >= 1, deltas, np.uint64(0))
-    return _stride_predictions(np, group, strides)
+    return _stride_predictions(np, group, _deltas(np, group))
 
 
 def _plan_two_delta(np, group):
     deltas = _deltas(np, group)
     prev_deltas = np.zeros(group.n, dtype=np.uint64)
-    if group.n > 1:
-        prev_deltas[1:] = deltas[:-1]
+    prev_deltas[1:] = deltas[:-1]
     # s2 adopts the observed delta on the first delta ever and whenever it
     # repeats the previous one; otherwise it keeps its old value, which a
     # forward-fill of the last adoption point reproduces.  t == 0 rows are
     # adoption points of stride zero so fills never leak across groups.
-    adopt = (group.t <= 1) | ((group.t >= 2) & (deltas == prev_deltas))
-    source = np.where(group.t >= 1, deltas, np.uint64(0))
+    adopt = (group.t <= 1) | (deltas == prev_deltas)
     fill = np.maximum.accumulate(np.where(adopt, np.arange(group.n), -1))
-    strides = source[fill] if group.n else source
-    return _stride_predictions(np, group, strides)
+    return _stride_predictions(np, group, deltas[fill])
 
 
 # --------------------------------------------------------------------------- #
-# Lockstep counter plans (hysteresis feeds back into the stored value, so
-# no closed-form scan exists; the per-group state machines advance in
-# lockstep instead, seeded directly from any snapshot)
+# Hysteresis plans: lv-consecutive as a scan, the saturating counters as one
+# counter-register automaton stepped over lanes
 # --------------------------------------------------------------------------- #
-def _plan_lv_counter(np, group, state, counter_max, threshold):
+def _plan_lv_consecutive(np, group, required_run):
+    """``lv-consecutive``: replace after a run of identical new values.
+
+    A hit clears the candidate, and a run of a new value restarts its
+    candidate run at 1 (the value before it differs), so the stored value
+    changes only at the ``required_run``-th element of a run of equal
+    values, and only to that value.  Those elements, the rest of their
+    run and every group's first record are *anchors*: the stored value
+    after a record is the value at the last anchor up to it.
+    """
+    n = group.n
+    index = np.arange(n)
+    run_start = group.t == 0
+    run_start[1:] |= group.vs[1:] != group.vs[:-1]
+    run_index = index - np.maximum.accumulate(np.where(run_start, index, 0))
+    # Every group starts with an anchor, so fills never cross groups.
+    anchor = (group.t == 0) | (run_index >= required_run - 1)
+    fill = np.maximum.accumulate(np.where(anchor, index, 0))
+    pred = np.zeros(n, dtype=np.int64)
+    pred[1:] = group.vs[fill[:-1]]
+    return group.t >= 1, pred
+
+
+def _lanes(np, group):
+    """The lane layout of a grouping: ``(slot, offsets)``, memoised.
+
+    Lanes are the groups by descending size, so the groups with a
+    ``k``-th record are a prefix of them.  Step ``k`` of lane ``l`` sits
+    at ``offsets[k] + l``; ``slot`` maps each sorted position there.
+    """
+    shared = _shared(group) if type(group) is _Grouping else None
+    if shared is not None and shared.lanes is not None:
+        return shared.lanes
+    by_size, active = _lockstep_schedule(np, group.sizes, group.n)
+    lane = np.empty(len(by_size), dtype=np.int64)
+    lane[by_size] = np.arange(len(by_size))
+    offsets = np.zeros(len(active) + 1, dtype=np.int64)
+    np.cumsum(active, out=offsets[1:])
+    lanes = (_frozen(offsets[group.t] + lane[group.gid]), tuple(offsets.tolist()))
+    if shared is not None:
+        shared.lanes = lanes
+    return lanes
+
+
+def _counter_register(np, group, inputs, counter_max, threshold, reset):
+    """The register each record's ``predict`` reads, in the sorted domain.
+
+    The automaton of ``lv-counter`` (inputs: values) and ``stride-counter``
+    (inputs: deltas): a group's first input loads the register with the
+    counter at 0; then a hit (register == input) bumps the counter, and a
+    miss decays it and, below ``threshold``, loads the input (and with
+    ``reset`` zeroes the counter).  The counter steps by table lookups on
+    ``2 * counter + hit``: a few in-place ufuncs per step, on a prefix.
+    """
+    slot, offsets = _lanes(np, group)
+    flat = np.empty(group.n, dtype=np.int64)
+    flat[slot] = inputs
+    out = np.zeros(group.n, dtype=np.int64)
+    counts = np.arange(counter_max + 1)
+    decayed = np.maximum(counts - 1, 0)
+    load = np.zeros(2 * counter_max + 2, dtype=bool)
+    load[0::2] = decayed < threshold
+    following = np.empty(2 * counter_max + 2, dtype=np.intp)
+    following[1::2] = 2 * np.minimum(counts + 1, counter_max)
+    following[0::2] = 2 * np.where(load[0::2] & reset, 0, decayed)
+    width = offsets[1] if group.n else 0
+    register = flat[:width].copy()
+    doubled, key = np.zeros((2, width), dtype=np.intp)
+    hit, loads = np.zeros((2, width), dtype=bool)
+    for start, stop in zip(offsets[1:], offsets[2:]):
+        live = stop - start
+        actual = flat[start:stop]
+        stored = register[:live]
+        out[start:stop] = stored
+        np.equal(stored, actual, out=hit[:live])
+        np.add(doubled[:live], hit[:live], out=key[:live])
+        np.take(load, key[:live], out=loads[:live], mode="clip")
+        np.copyto(stored, actual, where=loads[:live])
+        np.take(following, key[:live], out=doubled[:live], mode="clip")
+    return out[slot]
+
+
+def _plan_lv_counter(np, group, counter_max, threshold):
     """``lv-counter``: replace the value only when the counter sags."""
-    group_count = len(group.sizes)
-    exists = np.zeros(group_count, dtype=bool)
-    value = np.zeros(group_count, dtype=np.int64)
-    counter = np.zeros(group_count, dtype=np.int64)
-    entries = _present_entries(np, group, state)
-    if entries:
-        target = _as_int64(np, [gid for gid, _ in entries])
-        exists[target] = True
-        value[target] = _as_int64(np, [fields[0] for _, fields in entries])
-        counter[target] = _as_int64(np, [fields[1] for _, fields in entries])
-    by_size, negative_sizes, depth = _lockstep_schedule(np, group.sizes, group.n)
-    has = np.zeros(group.n, dtype=bool)
-    pred = np.zeros(group.n, dtype=np.int64)
-    maximum = np.int64(counter_max)
-    limit = np.int64(threshold)
-    for step in range(depth):
-        active = _active_groups(np, by_size, negative_sizes, step)
-        position = group.starts[active] + step
-        actual = group.vs[position]
-        alive = exists[active]
-        stored = value[active]
-        has[position] = alive
-        pred[position] = np.where(alive, stored, 0)
-        # Mirror LastValuePredictor._update_counter: bump on a hit, decay
-        # on a miss, replace (and zero) when the decayed counter is below
-        # the threshold.  Fresh entries store the value with counter 0.
-        hit = stored == actual
-        count = np.where(
-            hit,
-            np.minimum(maximum, counter[active] + 1),
-            np.maximum(np.int64(0), counter[active] - 1),
-        )
-        replace = ~hit & (count < limit)
-        fresh = ~alive
-        value[active] = np.where(fresh | replace, actual, stored)
-        counter[active] = np.where(fresh | replace, 0, count)
-        exists[active] = True
-    return has, pred
+    pred = _counter_register(np, group, group.vs, counter_max, threshold, True)
+    return group.t >= 1, pred
 
 
-def _plan_lv_consecutive(np, group, state, required_run):
-    """``lv-consecutive``: replace after a run of identical new values."""
-    group_count = len(group.sizes)
-    exists = np.zeros(group_count, dtype=bool)
-    value = np.zeros(group_count, dtype=np.int64)
-    candidate = np.zeros(group_count, dtype=np.int64)
-    has_candidate = np.zeros(group_count, dtype=bool)
-    run = np.zeros(group_count, dtype=np.int64)
-    entries = _present_entries(np, group, state)
-    if entries:
-        target = _as_int64(np, [gid for gid, _ in entries])
-        candidates = [fields[2] for _, fields in entries]
-        exists[target] = True
-        value[target] = _as_int64(np, [fields[0] for _, fields in entries])
-        has_candidate[target] = np.asarray(
-            [item is not None for item in candidates], dtype=bool
-        )
-        candidate[target] = _as_int64(
-            np, [0 if item is None else item for item in candidates]
-        )
-        run[target] = _as_int64(np, [fields[3] for _, fields in entries])
-    by_size, negative_sizes, depth = _lockstep_schedule(np, group.sizes, group.n)
-    has = np.zeros(group.n, dtype=bool)
-    pred = np.zeros(group.n, dtype=np.int64)
-    required = np.int64(required_run)
-    for step in range(depth):
-        active = _active_groups(np, by_size, negative_sizes, step)
-        position = group.starts[active] + step
-        actual = group.vs[position]
-        alive = exists[active]
-        stored = value[active]
-        has[position] = alive
-        pred[position] = np.where(alive, stored, 0)
-        # Mirror LastValuePredictor._update_consecutive: a hit clears the
-        # candidate; a miss extends (or restarts) the candidate run, and a
-        # long enough run promotes the candidate to the stored value.
-        hit = stored == actual
-        extend = has_candidate[active] & (candidate[active] == actual)
-        streak = np.where(
-            hit, np.int64(0), np.where(extend, run[active] + 1, np.int64(1))
-        )
-        promote = ~hit & (streak >= required)
-        value[active] = np.where(~alive | promote, actual, stored)
-        candidate[active] = np.where(alive & ~hit, actual, 0)
-        has_candidate[active] = alive & ~hit & ~promote
-        run[active] = np.where(alive & ~promote, streak, 0)
-        exists[active] = True
-    return has, pred
+def _plan_stride_counter(np, group, counter_max, threshold):
+    """``stride-counter``: replace the stride only when the counter sags.
 
-
-def _plan_stride_counter(np, group, state, counter_max, threshold):
-    """``stride-counter``: replace the stride only when the counter sags."""
-    group_count = len(group.sizes)
-    exists = np.zeros(group_count, dtype=bool)
-    last = np.zeros(group_count, dtype=np.uint64)
-    stride = np.zeros(group_count, dtype=np.uint64)
-    has_stride = np.zeros(group_count, dtype=bool)
-    counter = np.zeros(group_count, dtype=np.int64)
-    entries = _present_entries(np, group, state)
-    if entries:
-        target = _as_int64(np, [gid for gid, _ in entries])
-        strides = [fields[1] for _, fields in entries]
-        exists[target] = True
-        last[target] = _as_int64(np, [fields[0] for _, fields in entries]).view(
-            np.uint64
-        )
-        has_stride[target] = np.asarray(
-            [item is not None for item in strides], dtype=bool
-        )
-        stride[target] = _as_int64(
-            np, [0 if item is None else item for item in strides]
-        ).view(np.uint64)
-        counter[target] = _as_int64(np, [fields[2] for _, fields in entries])
-    by_size, negative_sizes, depth = _lockstep_schedule(np, group.sizes, group.n)
-    values = group.vs.view(np.uint64)
-    has = np.zeros(group.n, dtype=bool)
-    pred = np.zeros(group.n, dtype=np.int64)
-    maximum = np.int64(counter_max)
-    limit = np.int64(threshold)
-    for step in range(depth):
-        active = _active_groups(np, by_size, negative_sizes, step)
-        position = group.starts[active] + step
-        actual = values[position]
-        alive = exists[active]
-        base = last[active]
-        known = has_stride[active]
-        guess = base + np.where(known, stride[active], np.uint64(0))
-        has[position] = alive
-        pred[position] = np.where(alive, guess, np.uint64(0)).view(np.int64)
-        # Mirror CounterStridePredictor.update: score the prediction, and
-        # only a miss with a sagging counter (or a still-empty stride
-        # field) adopts the observed delta.  All arithmetic wraps in the
-        # uint64 domain, matching wrap_value.
-        observed = actual - base
-        hit = guess == actual
-        count = np.where(
-            hit,
-            np.minimum(maximum, counter[active] + 1),
-            np.maximum(np.int64(0), counter[active] - 1),
-        )
-        adopt = (~hit & (count < limit)) | ~known
-        stride[active] = np.where(
-            alive & adopt, observed, np.where(alive, stride[active], np.uint64(0))
-        )
-        has_stride[active] = alive
-        counter[active] = np.where(alive, count, 0)
-        last[active] = actual
-        exists[active] = True
-    return has, pred
+    An entry's empty stride predicts ``last_value``, as a zero stride
+    with the counter at 0 would: the automaton's first step.
+    """
+    deltas = _deltas(np, group).view(np.int64)
+    strides = _counter_register(np, group, deltas, counter_max, threshold, False)
+    pred = np.zeros(group.n, dtype=np.uint64)
+    pred[1:] = group.vs[:-1].view(np.uint64) + strides[1:].view(np.uint64)
+    return group.t >= 1, pred.view(np.int64)
 
 
 # --------------------------------------------------------------------------- #
@@ -757,7 +728,7 @@ def _fcm_lockstep(np, group_ids, y, counter_max, init):
     seeded_pairs = len(init_gid)
     all_gid = np.concatenate((init_gid, gid))
     all_value = np.concatenate((init_value, y2))
-    pair_id = _factorize_pairs(np, all_gid, all_value)
+    pair_id, _ = _factorize_pairs(np, all_gid, all_value)
     pair_count = int(pair_id.max()) + 1
     by_pair = np.argsort(pair_id, kind="stable")
     pair_sorted = pair_id[by_pair]
@@ -813,13 +784,13 @@ def _fcm_lockstep(np, group_ids, y, counter_max, init):
         if not bool(np.all(marks[seeded] == 1)) or bool(np.any(marks[~seeded])):
             raise _VectorizationUnsupported("snapshot recent markers inconsistent")
 
-    by_size, negative_sizes, depth = _lockstep_schedule(np, sizes, m)
+    by_size, live = _lockstep_schedule(np, sizes, m)
     stream_pid = pair_id[seeded_pairs:]
     has2 = np.empty(m, dtype=bool)
     pred2 = np.empty(m, dtype=np.int64)
     saturation = None if counter_max is None else np.int64(counter_max)
-    for step in range(depth):
-        active = _active_groups(np, by_size, negative_sizes, step)
+    for step, width in enumerate(live.tolist()):
+        active = by_size[:width]
         position = starts[active] + step
         pair = stream_pid[position]
         actual = y2[position]
@@ -912,7 +883,7 @@ def _context_keys(np, group, order, stream, init_contexts):
     stream_keys = group.gid[stream]
     init_keys = _as_int64(np, [gid for gid, _ in init_contexts])
     for back in range(1, order + 1):
-        merged = _factorize_pairs(
+        merged, _ = _factorize_pairs(
             np,
             np.concatenate((stream_keys, init_keys)),
             np.concatenate(
@@ -968,29 +939,34 @@ def _fcm_seed(np, group, order, stream, seeds):
 def _context_ids(np, group, order):
     """Per-record ids of the (PC, last ``order`` values) context.
 
-    Two records get the same id exactly when they share that context;
-    the ids are valid where ``t >= order`` (``-1`` elsewhere) and are not
-    dense, which :func:`_fcm_stream` does not need.  Order ``k`` extends
-    order ``k - 1`` by one pair factorisation, and every order of the
-    grouping is memoised in the shared slot, so all FCM plans over a
-    trace together factorise at most once per order.
+    Returns ``(ids, first)``.  Two records get the same id exactly when
+    they share that context; the ids are valid where ``t >= order``
+    (``-1`` elsewhere) and ``first`` flags the first record of every
+    context, which the stable lexsort of the factorisation yields for
+    free.  Order ``k`` extends order ``k - 1`` by one pair factorisation,
+    and every order of the grouping is memoised in the shared slot, so
+    all FCM plans over a trace together factorise at most once per order.
     """
     if order == 0:
-        return group.gid
-    contexts = _shared(group).contexts
-    ids = contexts.get(order)
+        return group.gid, group.t == 0
+    shared = _shared(group)
+    ids = shared.contexts.get(order)
     if ids is None:
-        shorter = _context_ids(np, group, order - 1)
+        shorter, _ = _context_ids(np, group, order - 1)
         valid = np.flatnonzero(group.t >= order)
         ids = np.full(group.n, -1, dtype=np.int64)
-        ids[valid] = _factorize_pairs(np, shorter[valid], group.vs[valid - order])
-        ids = contexts[order] = _frozen(ids)
-    return ids
+        first = np.zeros(group.n, dtype=bool)
+        ids[valid], first[valid] = _factorize_pairs(
+            np, shorter[valid], group.vs[valid - order]
+        )
+        shared.first_seen[order] = _frozen(first)
+        ids = shared.contexts[order] = _frozen(ids)
+    return ids, shared.first_seen[order]
 
 
 def _plan_fcm(np, group, order):
     stream = np.flatnonzero(group.t >= order)
-    keys = _context_ids(np, group, order)[stream]
+    keys = _context_ids(np, group, order)[0][stream]
     stream_has, stream_pred = _fcm_stream(np, keys, group.vs[stream])
     has = np.zeros(group.n, dtype=bool)
     pred = np.zeros(group.n, dtype=np.int64)
@@ -1006,13 +982,9 @@ def _history_augment(np, group, order, entries):
     has produced (capped at ``order``), so the scalar gate
     ``len(history) >= order`` is exactly ``t >= order``.
     """
-    prefix_lengths = np.zeros(len(group.sizes), dtype=np.int64)
-    values = []
-    for gid, entry in entries:
-        history = list(entry["history"])[-order:] if order else []
-        prefix_lengths[gid] = len(history)
-        values.extend(history)
-    return _AugmentedGroup(np, group, prefix_lengths, _as_int64(np, values))
+    return _AugmentedGroup(
+        np, group, entries, lambda entry: list(entry["history"])[-order:] if order else []
+    )
 
 
 def _plan_fcm_stateful(np, group, order, counter_max, state):
@@ -1035,25 +1007,39 @@ def _plan_fcm_stateful(np, group, order, counter_max, state):
     return has[real], pred[real]
 
 
+def _exclusion(np, group, order):
+    """``(positions, predictions)`` of the order-``order`` lazy-exclusion
+    matches, shared by every blended ``fcmN`` with ``N > order``.
+
+    Longer contexts extend shorter ones, so the first record with an
+    order-``j`` context sees new contexts above ``j``, matches nowhere
+    above ``j`` and joins the order-``j`` stream.  A record thus matches
+    at the highest order whose context it saw before, and for all
+    ``N > j`` the order-``j`` stream is one set: the records with
+    ``t == j`` or seeing their order-``j + 1`` context first.  Only its
+    matches are stored; they are disjoint across orders, so the memo
+    holds at most ``n`` values per trace.
+    """
+    shared = _shared(group)
+    memo = shared.exclusions.get(order)
+    if memo is None:
+        _, first_above = _context_ids(np, group, order + 1)
+        stream = np.flatnonzero((group.t == order) | first_above)
+        keys = _context_ids(np, group, order)[0][stream]
+        has, pred = _fcm_stream(np, keys, group.vs[stream])
+        memo = shared.exclusions[order] = (_frozen(stream[has]), _frozen(pred[has]))
+    return memo
+
+
 def _plan_blended_fcm(np, group, order):
-    has = np.zeros(group.n, dtype=bool)
-    pred = np.zeros(group.n, dtype=np.int64)
-    remaining = np.ones(group.n, dtype=bool)
-    # Lazy exclusion, top-down: the records still unmatched at order o that
-    # have seen >= o values are exactly the ones that update order o's
-    # table, so each round's candidate stream doubles as that order's
-    # updater stream; a record matches at the highest order where a
-    # previous same-context candidate exists.
-    for model_order in range(order, -1, -1):
-        candidates = np.flatnonzero(remaining & (group.t >= model_order))
-        if candidates.size == 0:
-            continue
-        keys = _context_ids(np, group, model_order)[candidates]
-        stream_has, stream_pred = _fcm_stream(np, keys, group.vs[candidates])
-        matched = candidates[stream_has]
-        has[matched] = True
-        pred[matched] = stream_pred[stream_has]
-        remaining[matched] = False
+    # The top order's stream is every record with t >= order; below it,
+    # each order adds its shared exclusion matches, which are disjoint
+    # from the top order's and from each other (see _exclusion).
+    has, pred = _plan_fcm(np, group, order)
+    for lower in range(order):
+        positions, predictions = _exclusion(np, group, lower)
+        has[positions] = True
+        pred[positions] = predictions
     return has, pred
 
 
@@ -1324,24 +1310,25 @@ def _build_plan(predictor):
         if predictor.hysteresis == "always":
             return _scan_plan(_plan_last_value, _virtual_last_value)
         if predictor.hysteresis == "counter":
-            maximum = predictor.counter_max
-            limit = predictor.counter_threshold
-            return lambda np, columns, group, state: _plan_lv_counter(
-                np, group, state, maximum, limit
+            maximum, limit = predictor.counter_max, predictor.counter_threshold
+            return _scan_plan(
+                lambda np, group: _plan_lv_counter(np, group, maximum, limit),
+                lambda fields: _virtual_lv_counter(fields, maximum),
             )
         required = predictor.required_run
-        return lambda np, columns, group, state: _plan_lv_consecutive(
-            np, group, state, required
+        return _scan_plan(
+            lambda np, group: _plan_lv_consecutive(np, group, required),
+            lambda fields: _virtual_lv_consecutive(fields, required),
         )
     if kind is SimpleStridePredictor:
         return _scan_plan(_plan_simple_stride, _virtual_simple_stride)
     if kind is TwoDeltaStridePredictor:
         return _scan_plan(_plan_two_delta, _virtual_two_delta)
     if kind is CounterStridePredictor:
-        maximum = predictor.counter_max
-        limit = predictor.threshold
-        return lambda np, columns, group, state: _plan_stride_counter(
-            np, group, state, maximum, limit
+        maximum, limit = predictor.counter_max, predictor.threshold
+        return _scan_plan(
+            lambda np, group: _plan_stride_counter(np, group, maximum, limit),
+            lambda fields: _virtual_stride_counter(fields, maximum),
         )
     if kind is FcmPredictor:
         order = predictor.order
@@ -1405,13 +1392,24 @@ def _first_occurrence_order(np, keys):
     return unique[order], first[order], counts[order]
 
 
+def _first_order_counts(np, keys, first_index, width):
+    """The distinct ``keys`` (dense, below ``width``) and their counts,
+    ordered by each key's smallest ``first_index`` — the insertion order
+    of a scalar loop that counts the keys in ``first_index`` order."""
+    counts = np.bincount(keys, minlength=width)
+    first = np.full(width, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(first, keys, first_index)
+    present = np.flatnonzero(counts)
+    present = present[np.argsort(first[present])]
+    return present.tolist(), counts[present].tolist()
+
+
 def _category_counts(np, columns, codes):
     """Category -> count, keyed in first-occurrence order of ``codes``."""
-    unique, _, counts = _first_occurrence_order(np, codes)
-    return {
-        columns.categories[code]: count
-        for code, count in zip(unique.tolist(), counts.tolist())
-    }
+    present, counts = _first_order_counts(
+        np, codes, np.arange(len(codes)), len(columns.categories)
+    )
+    return {columns.categories[code]: count for code, count in zip(present, counts)}
 
 
 def _category_totals(np, columns):
@@ -1461,20 +1459,23 @@ def simulate_shard_vector(
     if count_simulation:
         SIMULATION_COUNTER.increment()
     n = group.n
-    has = np.empty(n, dtype=bool)
-    pred = np.empty(n, dtype=np.int64)
-    has[group.order] = has_sorted
-    pred[group.order] = pred_sorted
-    correct = has & (pred == columns.values)
-
-    correct_pcs, _, correct_counts = _first_occurrence_order(np, columns.pcs[correct])
+    correct_sorted = has_sorted & (pred_sorted == group.vs)
+    correct = np.empty(n, dtype=bool)
+    correct[group.order] = correct_sorted
+    # Sorted positions keep program order within a group, so keying each
+    # group by its correct records' original indices orders pc_correct
+    # by first correct record without sorting the records.
+    hits = np.flatnonzero(correct_sorted)
+    groups, counts = _first_order_counts(
+        np, group.gid[hits], group.order[hits], len(group.sizes)
+    )
     result = PredictorResult(
         predictor=predictor_name,
         total=n,
-        correct=int(correct.sum()),
+        correct=int(np.count_nonzero(correct_sorted)),
         category_total=dict(_category_totals(np, columns)),
         category_correct=_category_counts(np, columns, columns.category_codes[correct]),
-        pc_correct=dict(zip(correct_pcs.tolist(), correct_counts.tolist())),
+        pc_correct=dict(zip(group.unique_pcs[groups].tolist(), counts)),
     )
     return PredictorShard(
         result=result,
@@ -1545,6 +1546,3 @@ def merge_shards_vector(
         subset_counts=subset_counts,
         subset_counts_by_category=subset_by_category,
     )
-
-
-

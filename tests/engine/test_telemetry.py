@@ -115,6 +115,18 @@ class TestRunTelemetry:
             assert isinstance(manifest[pin], int)
         assert manifest["finished_wall"] >= manifest["created_wall"]
 
+    def test_manifest_version_of_an_uninstalled_checkout(self, tmp_path, monkeypatch):
+        import importlib.metadata
+
+        import repro
+
+        def not_installed(name):
+            raise importlib.metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", not_installed)
+        RunTelemetry(tmp_path, argv=[]).close()
+        assert read_manifest(tmp_path)["package_version"] == repro.__version__
+
     def test_error_escaping_span_is_stamped(self, tmp_path):
         sink = RunTelemetry(tmp_path, run_id="run-err", argv=[])
         with pytest.raises(ValueError):

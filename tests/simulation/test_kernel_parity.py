@@ -18,6 +18,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.registry import PAPER_PREDICTORS, available_predictors
 from repro.engine.codecs import shard_to_dict, simulation_to_dict
@@ -325,6 +326,15 @@ class TestCounterEdges:
                 hysteresis="consecutive", required_run=1)),
             ("edge-sc-m1", lambda: CounterStridePredictor(counter_max=1, threshold=1)),
             ("edge-sc-tmax", lambda: CounterStridePredictor(counter_max=3, threshold=3)),
+            ("edge-lv-run3", lambda: LastValuePredictor(
+                hysteresis="consecutive", required_run=3)),
+            ("edge-lv-run5", lambda: LastValuePredictor(
+                hysteresis="consecutive", required_run=5)),
+            ("edge-lv-m5t1", lambda: LastValuePredictor(
+                hysteresis="counter", counter_max=5, counter_threshold=1)),
+            ("edge-lv-m5t4", lambda: LastValuePredictor(
+                hysteresis="counter", counter_max=5, counter_threshold=4)),
+            ("edge-sc-m5t2", lambda: CounterStridePredictor(counter_max=5, threshold=2)),
         )
 
     def test_counter_boundary_parity(self, temporary_predictor):
@@ -451,10 +461,69 @@ class TestWindowedVectorParity:
             ("edge-w-cons", lambda: LastValuePredictor(
                 hysteresis="consecutive", required_run=2)),
             ("edge-w-sc", lambda: CounterStridePredictor(counter_max=3, threshold=3)),
+            ("edge-w-cons3", lambda: LastValuePredictor(
+                hysteresis="consecutive", required_run=3)),
+            ("edge-w-cons5", lambda: LastValuePredictor(
+                hysteresis="consecutive", required_run=5)),
+            ("edge-w-lv5t1", lambda: LastValuePredictor(
+                hysteresis="counter", counter_max=5, counter_threshold=1)),
+            ("edge-w-lv5t4", lambda: LastValuePredictor(
+                hysteresis="counter", counter_max=5, counter_threshold=4)),
+            ("edge-w-sc5t2", lambda: CounterStridePredictor(counter_max=5, threshold=2)),
         )
         for name, factory in cases:
             temporary_predictor(name, factory)
             for split in range(1, len(values)):
+                assert_window_parity(trace, name, split)
+
+
+#: The plans with a closed form or a shared stream that a short stream
+#: over a tiny alphabet stresses hardest: runs, promotions, counter flaps.
+_CLOSED_FORM_NAMES = (
+    "lv-consecutive",
+    "lv-counter",
+    "stride-counter",
+    "fcm0",
+    "fcm1",
+    "fcm2",
+    "fcm3",
+    "fcm4",
+)
+
+
+@st.composite
+def tiny_alphabet_traces(draw):
+    """A short trace over 1-3 PCs whose values come from 2-3 symbols,
+    plus a split point for a snapshot-started window."""
+    symbols = draw(
+        st.lists(
+            st.sampled_from((0, 1, 2, 7, -1, 2**63 - 1, -(2**63))),
+            min_size=2,
+            max_size=3,
+            unique=True,
+        )
+    )
+    pcs = draw(st.integers(1, 3))
+    steps = draw(
+        st.lists(
+            st.tuples(st.integers(0, pcs - 1), st.sampled_from(symbols)),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    triples = [(0x80 + 4 * pc, Opcode.ADD, value) for pc, value in steps]
+    return _edge_trace("tiny", triples), draw(st.integers(0, len(triples) - 1))
+
+
+@requires_numpy
+class TestClosedFormProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(tiny_alphabet_traces())
+    def test_vector_equals_scalar(self, drawn):
+        trace, split = drawn
+        for name in _CLOSED_FORM_NAMES:
+            assert_shard_parity(trace, name)
+            if split:
                 assert_window_parity(trace, name, split)
 
 
@@ -499,13 +568,70 @@ class TestSharedWork:
         shared = vectorized._SHARED
         assert shared.group is columns.scratch["grouping"]
         assert set(shared.contexts) == set(range(1, 9))
-        arrays = list(shared.contexts.values())
+        assert set(shared.first_seen) == set(range(1, 9))
+        assert set(shared.exclusions) == set(range(8))
+        arrays = list(shared.contexts.values()) + list(shared.first_seen.values())
+        for positions, predictions in shared.exclusions.values():
+            arrays.extend((positions, predictions))
+        arrays.append(shared.lanes[0])
         for has, pred in shared.results.values():
             arrays.extend((has, pred))
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[:1] = 0
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: f"seed{s[0]}")
+    def test_exclusion_memo_holds_at_most_n_values(self, scenario):
+        np = vectorized.numpy_or_none()
+        columns = decode_trace_columns(dumps_trace_binary(synthetic_trace(*scenario)))
+        vectorized.simulate_shard_vector(columns, "fcm8")
+        exclusions = vectorized._SHARED.exclusions
+        positions = np.concatenate([stored for stored, _ in exclusions.values()])
+        # One stored value per matched record at most: the per-order sets
+        # are disjoint, so the memo never outgrows the trace.
+        assert len(positions) <= len(columns)
+        assert len(np.unique(positions)) == len(positions)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: f"seed{s[0]}")
+    def test_exclusion_streams_are_shared_across_orders(self, scenario):
+        # The top-down lazy-exclusion loop of every blended fcmN, run as
+        # written: its order-j candidate stream is the same set for every
+        # N > j, namely the records with t == j or seeing their order-j+1
+        # context first, and its order-j matches are the shared memo.
+        np = vectorized.numpy_or_none()
+        columns = decode_trace_columns(dumps_trace_binary(synthetic_trace(*scenario)))
+        group = vectorized._grouping(np, columns)
+        streams: dict[int, object] = {}
+        for top in range(9):
+            has = np.zeros(group.n, dtype=bool)
+            pred = np.zeros(group.n, dtype=np.int64)
+            remaining = np.ones(group.n, dtype=bool)
+            for order in range(top, -1, -1):
+                candidates = np.flatnonzero(remaining & (group.t >= order))
+                ids, _ = vectorized._context_ids(np, group, order)
+                matched_flags, predictions = vectorized._fcm_stream(
+                    np, ids[candidates], group.vs[candidates]
+                )
+                matched = candidates[matched_flags]
+                has[matched] = True
+                pred[matched] = predictions[matched_flags]
+                remaining[matched] = False
+                if order == top:
+                    continue
+                if order in streams:
+                    assert np.array_equal(streams[order], candidates), (top, order)
+                streams[order] = candidates
+                _, first_above = vectorized._context_ids(np, group, order + 1)
+                expected = np.flatnonzero((group.t == order) | first_above)
+                assert np.array_equal(candidates, expected), (top, order)
+                positions, values = vectorized._exclusion(np, group, order)
+                assert np.array_equal(positions, matched), (top, order)
+                assert np.array_equal(values, predictions[matched_flags]), (top, order)
+            # Predictions where has is False are never read.
+            blended_has, blended_pred = vectorized._plan_blended_fcm(np, group, top)
+            assert np.array_equal(blended_has, has), top
+            assert np.array_equal(blended_pred[has], pred[has]), top
 
     def test_hybrid_fills_its_components_results(self):
         from repro.core.registry import create_predictor
