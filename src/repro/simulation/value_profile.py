@@ -16,6 +16,7 @@ from typing import Sequence
 
 from repro.isa.opcodes import CATEGORY_BY_CODE, Category, REPORTED_CATEGORIES
 from repro.simulation.metrics import arithmetic_mean
+from repro.trace.io import TraceColumns, trace_columns
 from repro.trace.stream import ValueTrace
 
 #: Bucket upper bounds used on the Figure 10 y-axis legend.
@@ -77,26 +78,24 @@ def value_profile(
 ) -> ValueProfile:
     """Profile unique-value counts for one benchmark's trace.
 
-    Reads the trace columns directly; no record objects are built.
+    The per-PC counts come from the trace's numpy columns
+    (:func:`~repro.trace.io.trace_columns`) with array operations, or from
+    a loop over its list columns when it has none (numpy missing, or a
+    field outside int64).  Both give the same integer counts, and the
+    percentages are formed from them in Python, so the two paths return
+    identical profiles.  No record objects are built.
     """
-    unique_values: dict[int, set[int]] = {}
-    pc_code: dict[int, int] = {}
-    for pc, value, code in zip(trace.pcs, trace.values, trace.opcode_codes):
-        unique_values.setdefault(pc, set()).add(value)
-        pc_code.setdefault(pc, code)
-    dynamic_count = Counter(trace.pcs)
-
     groups = ["All"] + [category.value for category in categories]
     static_counts = {group: _empty_distribution() for group in groups}
     dynamic_counts = {group: _empty_distribution() for group in groups}
     static_totals = {group: 0 for group in groups}
     dynamic_totals = {group: 0 for group in groups}
 
-    for pc, values in unique_values.items():
-        label = bucket_for(len(values))
-        weight = dynamic_count[pc]
+    columns = trace_columns(trace)
+    per_pc = _scalar_pc_counts(trace) if columns is None else _columnar_pc_counts(columns)
+    for unique_values, weight, category in per_pc:
+        label = bucket_for(unique_values)
         group_names = ["All"]
-        category = CATEGORY_BY_CODE[pc_code[pc]]
         if category in categories:
             group_names.append(category.value)
         for group in group_names:
@@ -120,6 +119,48 @@ def value_profile(
         for group in groups
     }
     return ValueProfile(static_percent=static_percent, dynamic_percent=dynamic_percent)
+
+
+def _scalar_pc_counts(trace: ValueTrace) -> list[tuple[int, int, Category]]:
+    """``(unique values, dynamic count, category)`` per static PC, by loop.
+
+    The reference for :func:`_columnar_pc_counts`.  A PC's category is
+    that of its first record.
+    """
+    unique_values: dict[int, set[int]] = {}
+    pc_code: dict[int, int] = {}
+    for pc, value, code in zip(trace.pcs, trace.values, trace.opcode_codes):
+        unique_values.setdefault(pc, set()).add(value)
+        pc_code.setdefault(pc, code)
+    dynamic_count = Counter(trace.pcs)
+    return [
+        (len(values), dynamic_count[pc], CATEGORY_BY_CODE[pc_code[pc]])
+        for pc, values in unique_values.items()
+    ]
+
+
+def _columnar_pc_counts(columns: TraceColumns) -> list[tuple[int, int, Category]]:
+    """:func:`_scalar_pc_counts` over numpy columns, in ascending PC order.
+
+    One stable lexsort by (pc, value) puts each PC's records in one
+    segment and equal values next to each other; a segment's unique-value
+    count is its start plus the value changes inside it, its dynamic count
+    its length, and its first record the smallest original position in it.
+    """
+    import numpy as np
+
+    if not len(columns):
+        return []
+    order = np.lexsort((columns.values, columns.pcs))
+    pcs, values = columns.pcs[order], columns.values[order]
+    new_pc = np.concatenate(([True], pcs[1:] != pcs[:-1]))
+    new_value = new_pc | np.concatenate(([True], values[1:] != values[:-1]))
+    starts = np.flatnonzero(new_pc)
+    unique_values = np.add.reduceat(new_value.astype(np.int64), starts)
+    dynamic = np.diff(starts, append=len(pcs))
+    first_codes = columns.category_codes[np.minimum.reduceat(order, starts)]
+    categories = [columns.categories[code] for code in first_codes.tolist()]
+    return list(zip(unique_values.tolist(), dynamic.tolist(), categories))
 
 
 def average_value_profiles(profiles: Sequence[ValueProfile]) -> ValueProfile:

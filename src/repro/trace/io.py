@@ -12,11 +12,11 @@ remains the single source of truth).  Both read and write the
   (:func:`repro.engine.fingerprint.trace_digest`) is the SHA-256 of the
   uncompressed bytes, and the compressed form is what the worker wire
   and the cache carry, so it can never change shape silently.  With
-  numpy installed the record block is encoded and decoded with array
-  operations (decoding block by block); the pure-Python code is the
-  reference and the fallback for numpy-less installs and for fields
-  outside int64, and both paths produce the same bytes, columns and
-  errors.
+  numpy installed the record block is encoded with array operations and
+  decoded, block by block, into numpy :class:`TraceColumns` that the
+  returned trace wraps; the pure-Python code is the reference and the
+  fallback for numpy-less installs and for fields outside int64, and both
+  paths produce the same bytes, columns and errors.
 * **text (v2)** — a one-line header followed by one space-separated line
   per record: a readable export format, roughly 4-8x larger than v3.
 
@@ -384,9 +384,9 @@ def dump_trace_binary(trace: ValueTrace, destination: BinaryIO, compress: bool =
 def _parse_binary_container(data: bytes) -> tuple[str, int, int, list[Opcode], bytes]:
     """Parse the v3 header and return ``(name, total, records, table, body)``.
 
-    The body comes back decompressed; record decoding — scalar or numpy
-    (:func:`loads_trace_binary`) or columnar (:func:`decode_trace_columns`)
-    — is the caller's half of the work.
+    The body comes back decompressed; record decoding — scalar
+    (:func:`_decode_body_scalar`) or columnar (:func:`_body_columns`) — is
+    the caller's half of the work.
     """
     view = memoryview(data)
     if bytes(view[: len(BINARY_MAGIC)]) != BINARY_MAGIC:
@@ -435,17 +435,19 @@ def loads_trace_binary(data: bytes) -> ValueTrace:
 
     Raises :class:`TraceError` on a bad magic, an unsupported version, a
     truncated body or a record-count mismatch — the cache treats any of
-    those as a miss rather than a failure.  The body is decoded with numpy
-    when it is installed and every field fits int64, otherwise by the
-    scalar reference decoder; both build the same columns and raise the
-    same errors.
+    those as a miss rather than a failure.  With numpy installed and every
+    field within int64 the body is decoded into :class:`TraceColumns`
+    (:func:`decode_trace_columns`) and the trace wraps them: its
+    :func:`trace_columns` view is those columns, and its list columns are
+    built only on first access.  Otherwise the scalar reference decoder
+    builds the lists.  Both raise the same errors.
     """
     name, total, expected_records, table, body = _parse_binary_container(data)
     np = _numpy()
-    columns = None if np is None else _decode_body_numpy(np, body, expected_records, table)
-    if columns is None:
-        columns = _decode_body_scalar(body, expected_records, table)
-    return ValueTrace.from_columns(name, *columns, total)
+    columns = None if np is None else _body_columns(np, name, total, expected_records, table, body)
+    if columns is not None:
+        return ValueTrace.from_trace_columns(columns)
+    return ValueTrace.from_columns(name, *_decode_body_scalar(body, expected_records, table), total)
 
 
 def _trailing_bytes_error(trailing: int, expected_records: int) -> TraceError:
@@ -495,42 +497,12 @@ def _decode_body_scalar(body: bytes, expected_records: int, table: list[Opcode])
     )
 
 
-def _decode_body_numpy(np, body: bytes, expected_records: int, table: list[Opcode]):
-    """Vectorised :func:`_decode_body_scalar`, or ``None`` outside int64.
-
-    Decodes :data:`_DECODE_BLOCK_RECORDS` records at a time and appends
-    each block to the Python-int columns, so the numpy temporaries stay a
-    few hundred kilobytes whatever the trace length.  Like the scalar
-    decoder's memo, it keeps one int object per distinct value: values
-    repeat heavily, and a trace held in memory is mostly its int objects.
-    """
-    remap = None
-    if tuple(table) != OPCODE_ORDER:
-        remap = np.array([OPCODE_CODE[opcode] for opcode in table], dtype=np.int64)
-    serials: list[int] = []
-    pcs: list[int] = []
-    codes: list[int] = []
-    values: list[int] = []
-    shared_values: dict[int, int] = {}
-    try:
-        for block in _record_blocks(np, body, expected_records, len(table)):
-            block_serials, block_pcs, block_codes, block_values = block
-            serials += block_serials.tolist()
-            pcs += block_pcs.tolist()
-            codes += (block_codes if remap is None else remap[block_codes]).tolist()
-            block_values = block_values.tolist()
-            values += map(shared_values.setdefault, block_values, block_values)
-    except _OutsideInt64:
-        return None
-    return serials, pcs, codes, values
-
-
-#: Records per block of the numpy decoders.
+#: Records per block of the numpy decoder.
 _DECODE_BLOCK_RECORDS = 4096
 
 
 class _OutsideInt64(Exception):
-    """A body field the numpy decoders cannot hold; the caller falls back."""
+    """A body field the numpy decoder cannot hold; the caller falls back."""
 
 
 def _record_blocks(np, body: bytes, expected_records: int, table_size: int):
@@ -598,7 +570,7 @@ def _unzigzag_array(np, raw):
     return ((raw >> np.uint64(1)) ^ mask).view(np.int64)
 
 
-#: The numpy decoders refuse running serial or pc sums whose float64
+#: The numpy decoder refuses running serial or pc sums whose float64
 #: shadow reaches this.  A block's shadow is off by at most about 2**34,
 #: so every sum below :data:`_DELTA_SAFE_BOUND` (all the numpy encoder
 #: writes) passes, and every sum that passes fits int64.
@@ -679,7 +651,11 @@ def decode_trace_columns(data: bytes) -> TraceColumns | None:
     np = _numpy()
     if np is None:
         return None
-    name, total, expected_records, table, body = _parse_binary_container(data)
+    return _body_columns(np, *_parse_binary_container(data))
+
+
+def _body_columns(np, name, total, expected_records, table, body) -> TraceColumns | None:
+    """The columns of a parsed v3 container, or ``None`` outside int64."""
     categories, op_to_cat = _category_mapping(table)
     try:
         blocks = list(_record_blocks(np, body, expected_records, len(table)))
@@ -699,7 +675,9 @@ def decode_trace_columns(data: bytes) -> TraceColumns | None:
 def trace_columns(trace: ValueTrace) -> TraceColumns | None:
     """Columnar view of an in-memory :class:`ValueTrace`, memoised on it.
 
-    Returns ``None`` when numpy is unavailable or any field falls outside
+    A trace from :func:`loads_trace_binary`'s numpy path returns the
+    columns it was decoded into.  Returns ``None`` when numpy is
+    unavailable or any field falls outside
     int64 (the vectorized kernel then uses the scalar path).
     """
     if trace._columns is not False:

@@ -4,9 +4,12 @@ A :class:`ValueTrace` holds a trace as four parallel int columns — serial,
 pc, opcode code (an index into :data:`~repro.isa.opcodes.OPCODE_ORDER`)
 and value — plus the name of the workload that produced it and the number
 of dynamic instructions retired in total (needed to report the "fraction
-predicted" column of Table 2).  The columns are the single in-memory form:
-the interpreter appends to them directly and the codecs read and write
-them.  :attr:`ValueTrace.records` is a view of them as
+predicted" column of Table 2).  The columns are the single in-memory form.
+The interpreter appends to them as Python-int lists.  A trace decoded from
+v3 bytes with numpy installed holds them as numpy
+:class:`~repro.trace.io.TraceColumns` instead, and builds the lists only
+when something asks for them; its length and totals never need them.
+:attr:`ValueTrace.records` is a view of the columns as
 :class:`TraceRecord` objects, built on first use and memoised, for the
 scalar simulation kernel and anything else that wants one object per
 record.
@@ -52,7 +55,15 @@ class TraceStatistics:
 
 
 class ValueTrace:
-    """An ordered collection of predicted-instruction trace records."""
+    """An ordered collection of predicted-instruction trace records.
+
+    The four list columns (:attr:`serials`, :attr:`pcs`,
+    :attr:`opcode_codes`, :attr:`values`) are the trace.  A trace built
+    with :meth:`from_trace_columns` (what :func:`repro.trace.io.loads_trace_binary`
+    returns when numpy is installed) holds numpy columns instead and makes
+    the lists on first access; ``len``, truth and
+    :attr:`total_dynamic_instructions` read the numpy columns.
+    """
 
     def __init__(
         self,
@@ -62,13 +73,16 @@ class ValueTrace:
     ) -> None:
         records = list(records)
         self.name = name
-        self.serials: list[int] = [record.serial for record in records]
-        self.pcs: list[int] = [record.pc for record in records]
-        self.opcode_codes: list[int] = [OPCODE_CODE[record.opcode] for record in records]
-        self.values: list[int] = [record.value for record in records]
+        self._lists: tuple[list[int], list[int], list[int], list[int]] | None = (
+            [record.serial for record in records],
+            [record.pc for record in records],
+            [OPCODE_CODE[record.opcode] for record in records],
+            [record.value for record in records],
+        )
         self._total_dynamic_instructions = total_dynamic_instructions
         self._records: list[TraceRecord] | None = records or None
-        #: Memo slot of :func:`repro.trace.io.trace_columns` (numpy columns).
+        #: Memo slot of :func:`repro.trace.io.trace_columns` (numpy columns);
+        #: the source of the lists while ``_lists`` is ``None``.
         self._columns = False
 
     @classmethod
@@ -88,13 +102,67 @@ class ValueTrace:
                 f"{len(serials)}, {len(pcs)}, {len(opcode_codes)}, {len(values)}"
             )
         trace = cls(name)
-        trace.serials = serials
-        trace.pcs = pcs
-        trace.opcode_codes = opcode_codes
-        trace.values = values
+        trace._lists = (serials, pcs, opcode_codes, values)
         if total_dynamic_instructions is not None:
             trace.set_total_dynamic_instructions(total_dynamic_instructions)
         return trace
+
+    @classmethod
+    def from_trace_columns(cls, columns) -> "ValueTrace":
+        """Wrap decoded :class:`~repro.trace.io.TraceColumns` as a trace.
+
+        The columns also fill the :func:`~repro.trace.io.trace_columns`
+        memo; the list columns are built from them on first access.
+        """
+        trace = cls(columns.name)
+        trace._lists = None
+        trace._columns = columns
+        trace.set_total_dynamic_instructions(columns.total_dynamic_instructions)
+        return trace
+
+    def _column_lists(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The list columns, built from the numpy columns on first use.
+
+        Opcode codes are remapped from the decoded file's table into
+        :data:`~repro.isa.opcodes.OPCODE_ORDER`.  Equal values share one
+        int object, as in the scalar decoder: values repeat heavily, and a
+        trace held in memory is mostly its int objects.
+        """
+        if self._lists is None:
+            columns = self._columns
+            codes = columns.opcode_codes.tolist()
+            if columns.opcodes != OPCODE_ORDER:
+                remap = [OPCODE_CODE[opcode] for opcode in columns.opcodes]
+                codes = [remap[code] for code in codes]
+            values = columns.values.tolist()
+            shared: dict[int, int] = {}
+            self._lists = (
+                columns.serials.tolist(),
+                columns.pcs.tolist(),
+                codes,
+                list(map(shared.setdefault, values, values)),
+            )
+        return self._lists
+
+    @property
+    def serials(self) -> list[int]:
+        """Dynamic instruction serial numbers."""
+        return self._column_lists()[0]
+
+    @property
+    def pcs(self) -> list[int]:
+        """Static instruction addresses."""
+        return self._column_lists()[1]
+
+    @property
+    def opcode_codes(self) -> list[int]:
+        """Opcodes, as indices into :data:`~repro.isa.opcodes.OPCODE_ORDER`."""
+        return self._column_lists()[2]
+
+    @property
+    def values(self) -> list[int]:
+        """The values the instructions produced."""
+        return self._column_lists()[3]
 
     # ------------------------------------------------------------------ #
     # Mutation (used only while a trace is being built)
@@ -111,10 +179,10 @@ class ValueTrace:
 
     def set_total_dynamic_instructions(self, total: int) -> None:
         """Record the total dynamic instruction count of the producing run."""
-        if total < len(self.values):
+        if total < len(self):
             raise TraceError(
                 "total dynamic instructions cannot be smaller than the number of "
-                f"predicted records ({total} < {len(self.values)})"
+                f"predicted records ({total} < {len(self)})"
             )
         self._total_dynamic_instructions = total
 
@@ -135,11 +203,13 @@ class ValueTrace:
     def total_dynamic_instructions(self) -> int:
         """Total dynamic instructions (predicted + non-predicted)."""
         if self._total_dynamic_instructions is None:
-            return len(self.values)
+            return len(self)
         return self._total_dynamic_instructions
 
     def __len__(self) -> int:
-        return len(self.values)
+        if self._lists is None:
+            return len(self._columns)
+        return len(self._lists[3])
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
@@ -156,7 +226,7 @@ class ValueTrace:
         return self.records[index]
 
     def __bool__(self) -> bool:
-        return bool(self.values)
+        return len(self) > 0
 
     # ------------------------------------------------------------------ #
     # Derived views
@@ -202,11 +272,11 @@ class ValueTrace:
         return TraceStatistics(
             name=self.name,
             total_dynamic_instructions=self.total_dynamic_instructions,
-            predicted_instructions=len(self.values),
+            predicted_instructions=len(self),
             static_instruction_count=len(set(self.pcs)),
             category_dynamic_counts=dict(dynamic_counts),
             category_static_counts={category: len(pcs) for category, pcs in static_pcs_by_category.items()},
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ValueTrace(name={self.name!r}, records={len(self.values)})"
+        return f"ValueTrace(name={self.name!r}, records={len(self)})"
