@@ -24,6 +24,14 @@ implementations cover the local spectrum (a fourth,
   running several sweeps) skip the per-dispatch fork/import cost the
   pool backend pays every time.
 
+A dispatch may come cut into *chunks*: consecutive runs of payloads that
+the process backends send to one worker as one pool unit, through the
+module-level :func:`run_chunk`.  The simulate phase cuts one chunk per
+trace (:mod:`repro.engine.phases`), so a trace's bytes are pickled once
+per chunk and the worker's per-trace decode and kernel state serve every
+predictor of it.  Chunks change only which process runs a payload; the
+serial backend runs the same order in-process.
+
 Because a backend only changes *where* a work unit executes — payloads and
 outcomes are the same JSON dicts everywhere — results are bit-identical
 across backends for every cache temperature; ``tests/engine/test_backends.py``
@@ -40,6 +48,7 @@ loudly rather than simulating a stale configuration.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import time
 import weakref
@@ -96,11 +105,15 @@ class ExecutorBackend:
         function: Callable[[dict], dict],
         payloads: Sequence[dict],
         on_result: Callable[[int], None] | None = None,
+        chunks: Sequence[int] | None = None,
     ) -> list[dict]:
         """Run ``function`` over ``payloads``; return outcomes in order.
 
         ``on_result`` is invoked with the payload index as each outcome
         arrives (always in input order), for live progress reporting.
+        ``chunks`` are the sizes of consecutive payload runs that should
+        each execute on one worker (``None``: every payload is its own
+        unit); they never change outcomes.
         """
         raise NotImplementedError
 
@@ -127,17 +140,51 @@ def _map_serial(
     return results
 
 
+def run_chunk(function: Callable[[dict], dict], payloads: Sequence[dict]) -> list[dict]:
+    """One pool unit: ``function`` over ``payloads``, in order, in one process.
+
+    A worker function may carry a ``chunk_step`` attribute: it is called
+    after each payload with the payloads still to run, so per-process
+    state kept across a chunk can drop what none of them reads.
+    """
+    step = getattr(function, "chunk_step", None)
+    outcomes = []
+    for index, payload in enumerate(payloads):
+        outcomes.append(function(payload))
+        if step is not None:
+            step(payloads[index + 1 :])
+    return outcomes
+
+
+def _chunked(payloads: Sequence[dict], chunks: Sequence[int] | None) -> list[Sequence[dict]]:
+    """Cut ``payloads`` into the consecutive runs ``chunks`` sizes."""
+    if chunks is None:
+        return [payloads[index : index + 1] for index in range(len(payloads))]
+    if sum(chunks) != len(payloads):
+        raise ValueError(f"chunks {list(chunks)} do not cover {len(payloads)} payloads")
+    runs = []
+    start = 0
+    for size in chunks:
+        runs.append(payloads[start : start + size])
+        start += size
+    return runs
+
+
 def _map_pool(
     pool,
     function: Callable[[dict], dict],
-    payloads: Sequence[dict],
+    runs: Sequence[Sequence[dict]],
     on_result: Callable[[int], None] | None,
 ) -> list[dict]:
+    # Each run is one task on the pool's queue, taken by whichever worker
+    # is free next: runs ordered largest first are scheduled greedily
+    # longest-first.
     results: list[dict] = []
-    for index, outcome in enumerate(pool.imap(function, payloads)):
-        results.append(outcome)
-        if on_result is not None:
-            on_result(index)
+    for outcomes in pool.imap(functools.partial(run_chunk, function), runs):
+        for outcome in outcomes:
+            results.append(outcome)
+            if on_result is not None:
+                on_result(len(results) - 1)
     return results
 
 
@@ -149,7 +196,7 @@ class SerialBackend(ExecutorBackend):
     def inline_payloads(self, task_count: int) -> bool:
         return True
 
-    def map(self, function, payloads, on_result=None):
+    def map(self, function, payloads, on_result=None, chunks=None):
         with self.telemetry.span("dispatch", backend=self.name, units=len(payloads)):
             return _map_serial(function, payloads, on_result)
 
@@ -173,13 +220,14 @@ class PoolBackend(ExecutorBackend):
     def parallel_slots(self) -> int:
         return self.jobs
 
-    def map(self, function, payloads, on_result=None):
+    def map(self, function, payloads, on_result=None, chunks=None):
         if self.inline_payloads(len(payloads)):
             with self.telemetry.span(
                 "dispatch", backend=self.name, units=len(payloads), inline=True
             ):
                 return _map_serial(function, payloads, on_result)
-        workers = min(self.jobs, len(payloads))
+        runs = _chunked(payloads, chunks)
+        workers = min(self.jobs, len(runs))
         with self.telemetry.span(
             "dispatch", backend=self.name, units=len(payloads), workers=workers
         ) as span:
@@ -189,7 +237,7 @@ class PoolBackend(ExecutorBackend):
                 # interpreter import per dispatch) — the number the
                 # persistent backend exists to amortise away.
                 span.set(startup_seconds=time.perf_counter() - pool_started)
-                return _map_pool(pool, function, payloads, on_result)
+                return _map_pool(pool, function, runs, on_result)
 
 
 def _shutdown_pool(pool) -> None:
@@ -231,9 +279,10 @@ class PersistentWorkerBackend(ExecutorBackend):
             self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
         return self._pool
 
-    def map(self, function, payloads, on_result=None):
+    def map(self, function, payloads, on_result=None, chunks=None):
         if not payloads:
             return []
+        runs = _chunked(payloads, chunks)
         warm = self._pool is not None
         with self.telemetry.span(
             "dispatch",
@@ -242,7 +291,7 @@ class PersistentWorkerBackend(ExecutorBackend):
             workers=self.jobs,
             warm=warm,
         ):
-            return _map_pool(self._ensure_pool(), function, payloads, on_result)
+            return _map_pool(self._ensure_pool(), function, runs, on_result)
 
     def close(self) -> None:
         if self._finalizer is not None:

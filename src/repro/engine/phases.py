@@ -24,11 +24,17 @@ Both are just different ``accept_cached`` callables over the same
 executor, so protocol changes — a distributed backend, a new cache
 envelope — land here once instead of once per code path.
 
+Dispatch order: pending units that name a ``group`` (the simulate
+phases group by trace) are dispatched group by group, heaviest group
+first, and each group reaches the backend as one chunk, which the process
+backends run on a single worker (:func:`dispatch_groups`).  Units without
+a group keep their input order, one chunk each.
+
 Progress accounting: ``phase_started`` reports ``total`` units (defaults
 to ``len(tasks)``) of which ``presatisfied_count + cache hits`` were warm;
 one ``task_finished`` event fires per presatisfied label, per cache hit
-and — from inside the backend dispatch — per computed unit, always in
-input order.
+and — from inside the backend dispatch — per computed unit; cache hits
+in input order, computed units in dispatch order.
 """
 
 from __future__ import annotations
@@ -50,13 +56,17 @@ class PhaseTask:
     is what the materialisation policy and result decoder receive.
     ``build_payload`` is called only when the unit actually has to run,
     with ``inline=True`` when the backend executes in-process (the payload
-    may then carry live objects and skip serialisation).
+    may then carry live objects and skip serialisation).  Units sharing a
+    ``group`` (``None``: a group of its own) are dispatched together, and
+    ``weight`` estimates a unit's cost for ordering the groups.
     """
 
     uid: Hashable
     label: str
     cache_key: Mapping
     build_payload: Callable[[bool], dict]
+    group: Hashable = None
+    weight: int = 1
 
 
 @dataclass
@@ -107,6 +117,36 @@ class PhaseSpec:
     presatisfied_labels: Sequence[str] = field(default_factory=tuple)
 
 
+def _group_weight(group: Sequence[PhaseTask]) -> int:
+    return sum(task.weight for task in group)
+
+
+def dispatch_groups(tasks: Sequence[PhaseTask], slots: int) -> list[list[PhaseTask]]:
+    """Cut pending ``tasks`` into the chunks of one dispatch.
+
+    Tasks sharing a ``group`` form one chunk, in input order, and chunks
+    are ordered heaviest first (stable on ties), so a pool that hands
+    each free worker the next chunk schedules them greedily
+    longest-first.  While there are fewer chunks than ``slots``, the
+    heaviest chunk of two or more tasks is halved, so that no worker
+    idles for want of a chunk.
+    """
+    groups: dict = {}
+    for task in tasks:
+        key = ("task", id(task)) if task.group is None else ("group", task.group)
+        groups.setdefault(key, []).append(task)
+    ordered = sorted(groups.values(), key=_group_weight, reverse=True)
+    while len(ordered) < slots:
+        splittable = [index for index, group in enumerate(ordered) if len(group) > 1]
+        if not splittable:
+            break
+        group = ordered.pop(splittable[0])
+        half = (len(group) + 1) // 2
+        ordered += [group[:half], group[half:]]
+        ordered.sort(key=_group_weight, reverse=True)
+    return ordered
+
+
 def run_phase(engine, spec: PhaseSpec) -> list[PhaseTask]:
     """Execute one phase on ``engine``; returns the tasks actually computed.
 
@@ -119,8 +159,9 @@ def run_phase(engine, spec: PhaseSpec) -> list[PhaseTask]:
     stay byte-identical whether telemetry is on or off — and re-emitted as
     a ``task`` span carrying the worker's own execute time.  Results are
     bit-identical for every backend and cache temperature: the protocol
-    only decides *where* each unit executes and *which* units execute at
-    all, never what they compute.
+    only decides *where* and in which order each unit executes and
+    *which* units execute at all, never what they compute.  The returned
+    tasks are in dispatch order (see :func:`dispatch_groups`).
     """
     cache = engine.cache
     telemetry = engine.telemetry
@@ -158,6 +199,8 @@ def run_phase(engine, spec: PhaseSpec) -> list[PhaseTask]:
         for task in hits:
             engine.progress.task_finished(spec.name, task.label, cached=True)
 
+        groups = dispatch_groups(pending, engine.backend.parallel_slots())
+        pending = [task for group in groups for task in group]
         inline = engine.backend.inline_payloads(len(pending))
         try:
             outcomes = engine._run_tasks(
@@ -165,6 +208,7 @@ def run_phase(engine, spec: PhaseSpec) -> list[PhaseTask]:
                 spec.name,
                 [task.label for task in pending],
                 [task.build_payload(inline) for task in pending],
+                chunks=[len(group) for group in groups],
             )
         except DispatchError as error:
             # Backend-infrastructure failures (remote workers lost, protocol

@@ -691,7 +691,10 @@ class RemoteBackend(ExecutorBackend):
         function: Callable[[dict], dict],
         payloads: Sequence[dict],
         on_result: Callable[[int], None] | None = None,
+        chunks: Sequence[int] | None = None,
     ) -> list[dict]:
+        # ``chunks`` is ignored: units travel one frame each, from one
+        # shared queue, so a trace's units may spread over the workers.
         if not payloads:
             return []
         function_name = worker_function_name(function)

@@ -506,6 +506,8 @@ class ExecutionEngine:
                         build_payload=lambda inline, task=task: build_payload(
                             task, inline
                         ),
+                        group=digests[benchmark],
+                        weight=len(traces[benchmark]),
                     )
                 )
 
@@ -596,8 +598,13 @@ class ExecutionEngine:
         phase: str,
         labels: Sequence[str],
         payloads: Sequence[dict],
+        chunks: Sequence[int] | None = None,
     ) -> list[dict]:
-        """Execute payloads on the configured backend, in input order."""
+        """Execute payloads on the configured backend, in input order.
+
+        ``chunks`` cuts the payloads into runs that each execute on one
+        worker (see :meth:`ExecutorBackend.map`).
+        """
         if not payloads:
             return []
         # Stamped per dispatch, not per engine: a shared backend instance
@@ -610,4 +617,5 @@ class ExecutionEngine:
             on_result=lambda index: self.progress.task_finished(
                 phase, labels[index], cached=False
             ),
+            chunks=chunks,
         )

@@ -323,32 +323,36 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
     points = spec.points()
     signatures = {name: predictor_signature(name) for name in spec.predictors}
 
-    # Unique trace configurations, in first-appearance order.
+    # Each trace configuration's task, resolved by the workload: two
+    # configurations that build the same program (gcc's -O2 and its
+    # default flags) share one task, so one trace.
     trace_tasks: dict[TraceConfig, TraceTask] = {}
     for point in points:
         if point.trace_config not in trace_tasks:
-            trace_tasks[point.trace_config] = TraceTask(
-                benchmark=point.benchmark,
+            trace_tasks[point.trace_config] = TraceTask.for_workload(
+                point.benchmark,
                 scale=point.scale,
                 input_name=point.input_name,
                 flags=point.flags,
             )
-    stats = EngineStats(benchmarks=len(trace_tasks), predictors=len(spec.predictors))
+    # Unique tasks, in first-appearance order.
+    unique_tasks = list(dict.fromkeys(trace_tasks.values()))
+    stats = EngineStats(benchmarks=len(unique_tasks), predictors=len(spec.predictors))
     engine.stats = stats
 
     # ------------------------------------------------------------------ #
     # Trace phase (deduplicated across sweep points, lazy materialisation)
     # ------------------------------------------------------------------ #
-    payloads: dict[TraceConfig, dict] = {}
+    payloads: dict[TraceTask, dict] = {}
 
-    def accept_trace_probe(config: TraceConfig, payload: dict) -> bool:
+    def accept_trace_probe(task: TraceTask, payload: dict) -> bool:
         if not _trace_payload_usable(payload):
             return False
-        payloads[config] = payload
+        payloads[task] = payload
         return True
 
-    def accept_trace_fresh(config: TraceConfig, outcome: dict) -> None:
-        payloads[config] = outcome
+    def accept_trace_fresh(task: TraceTask, outcome: dict) -> None:
+        payloads[task] = outcome
 
     run_phase(
         engine,
@@ -358,12 +362,12 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
             counter="traces",
             tasks=[
                 PhaseTask(
-                    uid=config,
-                    label=_trace_label(config),
+                    uid=task,
+                    label=_task_label(task),
                     cache_key=task.cache_key(),
                     build_payload=lambda inline, task=task: task.payload(),
                 )
-                for config, task in trace_tasks.items()
+                for task in unique_tasks
             ],
             worker=execute_trace_task,
             accept_cached=accept_trace_probe,
@@ -371,20 +375,22 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
         ),
     )
 
-    digests = {config: payload_trace_digest(payloads[config]) for config in trace_tasks}
+    digests = {
+        config: payload_trace_digest(payloads[task]) for config, task in trace_tasks.items()
+    }
     statistics = {
-        config: statistics_from_dict(payloads[config]["statistics"])
-        for config in trace_tasks
+        config: statistics_from_dict(payloads[task]["statistics"])
+        for config, task in trace_tasks.items()
     }
 
-    def make_repair(config: TraceConfig):
+    def make_repair(task: TraceTask):
         # A stamped entry can pass the cheap probe (digest + statistics
         # readable) while its trace body is corrupt.  When the decode
         # fails, re-trace, account the work honestly (this config was
         # *not* served from cache after all) and overwrite the bad entry
         # so the repair sticks for the next run.
         def repair() -> dict:
-            outcome = execute_trace_task(trace_tasks[config].payload())
+            outcome = execute_trace_task(task.payload())
             # Repairs bypass the phase executor, so strip the worker's
             # observability sidecar here too — the overwritten cache entry
             # must stay byte-identical with telemetry on or off.
@@ -394,7 +400,7 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
                     "task",
                     sidecar.get("execute_seconds", 0.0),
                     phase="trace",
-                    label=_trace_label(config),
+                    label=_task_label(task),
                     worker_pid=sidecar.get("pid"),
                     function=sidecar.get("function"),
                     repair=True,
@@ -404,7 +410,7 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
             if engine.cache:
                 engine.cache.put(
                     "trace",
-                    trace_tasks[config].cache_key(),
+                    task.cache_key(),
                     outcome,
                     format=engine.cache_format,
                 )
@@ -412,10 +418,8 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
 
         return repair
 
-    traces = {
-        config: _LazyTrace(payloads[config], make_repair(config))
-        for config in trace_tasks
-    }
+    lazy_traces = {task: _LazyTrace(payloads[task], make_repair(task)) for task in unique_tasks}
+    traces = {config: lazy_traces[task] for config, task in trace_tasks.items()}
 
     # ------------------------------------------------------------------ #
     # Simulate phase (deduplicated by trace content and configuration)
@@ -481,8 +485,10 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
                     build_payload=lambda inline, unit=unit: build_simulate_payload(
                         unit, inline
                     ),
+                    group=task.trace_digest,
+                    weight=statistics[config].predicted_instructions,
                 )
-                for unit, (task, _) in units.items()
+                for unit, (task, config) in units.items()
                 if unit not in windowed
             ],
             worker=execute_simulate_task,
@@ -535,6 +541,10 @@ def _trace_payload_usable(payload: dict) -> bool:
 def _trace_label(config: TraceConfig) -> str:
     benchmark, input_name, flags = config
     return f"{benchmark}:{input_name}:{flags}"
+
+
+def _task_label(task: TraceTask) -> str:
+    return _trace_label((task.benchmark, task.input_name, task.flags))
 
 
 def _unit_label(units: dict, unit: tuple[str, str]) -> str:

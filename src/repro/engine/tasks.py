@@ -61,7 +61,9 @@ class TraceTask:
     tasks describing the same work — e.g. a campaign's implicit default and
     a sweep naming the default explicitly — produce identical cache keys.
     Build instances through :meth:`for_workload`, which resolves defaults
-    against the workload's declared sets.
+    against the workload's declared sets and maps a flag setting that
+    builds the same program as the default (gcc's ``-O2``) to the default,
+    so both are traced once.
     """
 
     benchmark: str
@@ -85,7 +87,7 @@ class TraceTask:
             benchmark=benchmark,
             scale=scale,
             input_name=workload.validate_input(input_name),
-            flags=workload.validate_flags(flags),
+            flags=workload.canonical_flags(flags),
         )
 
     def cache_key(self) -> dict:

@@ -9,6 +9,7 @@ stores — so the parent handles pool output and cache hits identically.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -142,10 +143,39 @@ def execute_simulate_task(payload: dict) -> dict:
     }
 
 
+def _keep_results_read_later(rest: list[dict]) -> None:
+    """``execute_simulate_task.chunk_step``: after a task of a chunk, keep
+    only the memoised plan results that a later task of the chunk reads.
+
+    Without it one worker's memo would hold a result per predictor of
+    the trace until the chunk ends; a hybrid's components and aliased
+    configurations are what later tasks reuse.
+    """
+    from repro.simulation.vectorized import retain_results
+
+    keep: set[str] = set()
+    for payload in rest:
+        keep |= _memo_signatures(payload["predictor"])
+    retain_results(keep)
+
+
+@functools.lru_cache(maxsize=None)
+def _memo_signatures(name: str) -> frozenset[str]:
+    # The worker's registry is fixed once it runs tasks, and a stale entry
+    # could only make a later task recompute a result, never change it.
+    from repro.simulation.vectorized import memo_signatures
+
+    return frozenset(memo_signatures(create_predictor(name)))
+
+
+execute_simulate_task.chunk_step = _keep_results_read_later
+
+
 #: ``(trace_bytes, columns)`` of the trace this worker decoded last.
-#: Simulate tasks are dispatched benchmark-major, so consecutive tasks of
-#: a worker mostly ship the same trace; one slot turns their repeated
-#: decodes (and per-trace groupings, memoised on the columns) into one.
+#: Simulate tasks reach a worker one chunk per trace (the phase executor
+#: groups them by trace), so one slot turns a chunk's decodes (and its
+#: per-trace grouping, memoised on the columns) into one per trace per
+#: run, not one per worker.
 _DECODED: tuple[bytes, object] | None = None
 
 

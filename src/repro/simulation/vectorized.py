@@ -195,6 +195,28 @@ def _shared(group: _Grouping) -> _SharedWork:
     return shared
 
 
+def memo_signatures(predictor) -> set[str]:
+    """The signatures under which a cold-start plan of ``predictor`` reads
+    and stores memoised results: its own and, for a hybrid, its
+    components' (:func:`_memoised`)."""
+    from repro.core.hybrid import HybridPredictor
+
+    signatures = {predictor.config_signature()}
+    if isinstance(predictor, HybridPredictor):
+        for component in predictor.components:
+            signatures |= memo_signatures(component.predictor)
+    return signatures
+
+
+def retain_results(signatures) -> None:
+    """Drop the memoised plan results of the current trace whose signature
+    is not in ``signatures``; a dropped result is recomputed if asked for."""
+    shared = _SHARED
+    if shared is not None:
+        for signature in shared.results.keys() - signatures:
+            del shared.results[signature]
+
+
 def _frozen(array):
     """A read-only view, so a plan writing into a shared array fails loudly."""
     view = array.view()

@@ -117,6 +117,21 @@ class Workload(abc.ABC):
             )
         return flags
 
+    def flag_parameters(self, flags: str) -> object:
+        """The build parameters a flag setting selects; two settings with
+        equal parameters build the same program.  By default every setting
+        is its own."""
+        return flags
+
+    def canonical_flags(self, flags: str | None) -> str:
+        """``flags`` validated, or the default setting when both build the
+        same program (:meth:`flag_parameters`), so they share one trace."""
+        flags = self.validate_flags(flags)
+        default = self.flag_sets[0]
+        if self.flag_parameters(flags) == self.flag_parameters(default):
+            return default
+        return flags
+
     # ------------------------------------------------------------------ #
     # Shared helpers for subclasses
     # ------------------------------------------------------------------ #

@@ -63,18 +63,18 @@ class GccWorkload(Workload):
     #: Whether the peephole inner loop runs (models extra -O work).
     _PEEPHOLE = {"none": False, "-O1": False, "-O2": True, "ref": True}
 
+    def flag_parameters(self, flags: str) -> tuple[int, bool]:
+        return self._PASSES[flags], self._PEEPHOLE[flags]
+
     def build(self, scale: float, input_name: str, flags: str) -> tuple[Program, SparseMemory]:
         tokens, nodes, symbols = self._INPUT_SHAPE[input_name]
         token_count = self.scaled(tokens, scale, minimum=32)
         node_count = self.scaled(nodes, scale, minimum=16)
         symbol_count = self.scaled(symbols, scale, minimum=8)
         memory = self._build_memory(token_count, node_count, symbol_count, input_name)
+        passes, peephole = self.flag_parameters(flags)
         program = self._build_program(
-            token_count,
-            node_count,
-            symbol_count,
-            passes=self._PASSES[flags],
-            peephole=self._PEEPHOLE[flags],
+            token_count, node_count, symbol_count, passes=passes, peephole=peephole
         )
         return program, memory
 

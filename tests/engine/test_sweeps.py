@@ -423,9 +423,9 @@ class _BytesPayloadBackend(SerialBackend):
     def inline_payloads(self, task_count: int) -> bool:
         return False
 
-    def map(self, function, payloads, on_result=None):
+    def map(self, function, payloads, on_result=None, chunks=None):
         self.payloads.extend(payloads)
-        return super().map(function, payloads, on_result)
+        return super().map(function, payloads, on_result, chunks)
 
 
 class TestTextCacheWire:
@@ -489,3 +489,27 @@ class TestBinaryWireFormat:
         payload = task.payload(wire_trace_bytes(compress_trace))
         text = dumps_trace(compress_trace)
         assert len(payload["trace_bytes"]) < len(text.encode("utf-8")) // 10
+
+
+class TestEquivalentFlagsShareATrace:
+    """gcc's -O2 builds the same program as its default flags: one trace."""
+
+    def test_trace_task_resolves_o2_to_the_default(self):
+        from repro.engine.tasks import TraceTask
+
+        gcc = get_workload("gcc")
+        assert gcc.flag_parameters("-O2") == gcc.flag_parameters("ref")
+        assert TraceTask.for_workload("gcc", SCALE, flags="-O2").flags == "ref"
+        assert TraceTask.for_workload("gcc", SCALE, flags="-O1").flags == "-O1"
+        assert TraceTask.for_workload("gcc", SCALE, flags="none").flags == "none"
+        assert TraceTask.for_workload("compress", SCALE).flags == "ref"
+
+    def test_flag_study_traces_o2_once(self, tmp_path):
+        spec = SweepSpec.flag_study(benchmark="gcc", predictor="l", scale=SCALE)
+        with ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache") as engine:
+            result = engine.run_sweep(spec)
+        assert [point.point.flags for point in result.points] == ["ref", "none", "-O1", "-O2"]
+        assert engine.stats.traces_computed == 3
+        by_flags = {point.point.flags: point for point in result.points}
+        assert by_flags["-O2"].result == by_flags["ref"].result
+        assert len(list((tmp_path / "cache" / "trace").rglob("*.rvpc"))) == 3

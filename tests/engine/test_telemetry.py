@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import io
+import sys
 
 import pytest
 
@@ -126,6 +127,43 @@ class TestRunTelemetry:
         monkeypatch.setattr(importlib.metadata, "version", not_installed)
         RunTelemetry(tmp_path, argv=[]).close()
         assert read_manifest(tmp_path)["package_version"] == repro.__version__
+
+    def test_package_version_is_pinned_by_pyproject(self):
+        import re
+        from pathlib import Path
+
+        import repro
+
+        pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
+        project = pyproject.read_text(encoding="utf-8").split("[project]", 1)[1]
+        version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
+        assert version is not None and version.group(1) == repro.__version__
+
+    def test_starts_no_subprocess(self, tmp_path, monkeypatch):
+        import platform
+        import subprocess
+
+        # Drop the standard library's uname/platform memos, so a lookup
+        # that spawns ``uname -p`` would run again here.
+        monkeypatch.setattr(platform, "_uname_cache", None, raising=False)
+        monkeypatch.setattr(platform, "_platform_cache", {}, raising=False)
+        spawned = []
+
+        def refuse(*args, **kwargs):
+            spawned.append(args)
+            raise OSError("no subprocess expected")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        RunTelemetry(tmp_path, argv=[]).close()
+        assert spawned == []
+        assert read_manifest(tmp_path)["platform"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux platform string")
+    def test_manifest_platform_matches_the_standard_library(self, tmp_path):
+        import platform
+
+        RunTelemetry(tmp_path, argv=[]).close()
+        assert read_manifest(tmp_path)["platform"] == platform.platform()
 
     def test_error_escaping_span_is_stamped(self, tmp_path):
         sink = RunTelemetry(tmp_path, run_id="run-err", argv=[])
